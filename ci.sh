@@ -49,6 +49,8 @@ if [[ "${1:-}" != "quick" ]]; then
                 "$tmp_out/chaos8/chaos_probe_$fault_seed.txt"
         echo "fault seed $fault_seed: bit-identical at ASGD_THREADS=1 and =8"
     done
+    diff -u results/chaos_probe_7.txt "$tmp_out/chaos8/chaos_probe_7.txt"
+    echo "fault seed 7: matches checked-in golden"
 
     echo "== chaos determinism in the bf16 merge arena =="
     # The bf16 storage tier promises the same contract as f32: half-width

@@ -255,6 +255,47 @@ mod tests {
     }
 
     #[test]
+    fn flat_subset_matches_a_rebuilt_survivor_context() {
+        // A survivor merge may subset the run's flat context instead of
+        // rebuilding a smaller one: both must time every algorithm
+        // bit-identically.
+        let s = 0.001;
+        let profiles: Vec<DeviceProfile> = profile::heterogeneous_server(4)
+            .into_iter()
+            .map(|p| p.with_overhead_scale(s))
+            .collect();
+        let ctx = CollectiveContext::new(Topology::pcie(4).with_setup_scale(s), &profiles);
+        let alive = [0, 2, 3];
+        let survivors: Vec<DeviceProfile> = alive.iter().map(|&g| profiles[g].clone()).collect();
+        let rebuilt = CollectiveContext::new(Topology::pcie(3).with_setup_scale(s), &survivors);
+        let subset = ctx.subset(&alive);
+        let arrivals = [SimTime(0.5), SimTime(0.25), SimTime(0.75)];
+        let weights = [0.5, 0.3, 0.2];
+        for algo in [
+            crate::Algorithm::Naive,
+            crate::Algorithm::Tree,
+            crate::Algorithm::Ring,
+            crate::Algorithm::HalvingDoubling,
+            crate::Algorithm::MultiStreamRing { partitions: 3 },
+        ] {
+            let time = |c: &CollectiveContext| {
+                let mut bufs: Vec<asgd_tensor::FlatVec> = (0..3)
+                    .map(|i| asgd_tensor::FlatVec::F32(vec![i as f32; 4096]))
+                    .collect();
+                crate::allreduce_flat(&mut bufs, &weights, algo, c, &arrivals)
+            };
+            let (a, b) = (time(&subset), time(&rebuilt));
+            assert_eq!(
+                a.start.secs().to_bits(),
+                b.start.secs().to_bits(),
+                "{algo:?}"
+            );
+            assert_eq!(a.end.secs().to_bits(), b.end.secs().to_bits(), "{algo:?}");
+            assert_eq!(a.bytes_moved, b.bytes_moved, "{algo:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "ascending")]
     fn subset_rejects_unsorted_survivors() {
         let ctx = CollectiveContext::new(Topology::pcie(2), &profile::homogeneous_server(2));

@@ -23,22 +23,16 @@
 //!   bit-identical in results and simulated timing.
 
 use super::messages::ToManager;
-use super::{copy_to_global, MergeRule, SchedulerState};
-use crate::hyper::GpuHyper;
-use crate::merging::{
-    apply_global_update_flat, compute_merge_weights, redistribute_global, MergeDecision,
-};
+use super::SchedulerState;
 use asgd_collective::AllReduceTiming;
 use asgd_collective::{
     allreduce_flat, allreduce_flat_serial, hierarchical_allreduce_flat,
     hierarchical_allreduce_flat_serial, Algorithm, CollectiveContext, InterNode,
 };
 use asgd_gpusim::memory::MemoryTracker;
-use asgd_gpusim::{DeviceId, DeviceProfile, FaultKind, FaultPlan, SimTime, Topology};
+use asgd_gpusim::{FaultKind, FaultPlan, SimTime};
 use asgd_tensor::FlatVec;
-use std::sync::mpsc::{Receiver, Sender};
-
-use super::messages::FromManager;
+use std::sync::mpsc::Sender;
 
 /// One fault the scheduler actually applied (the plan's events resolved to
 /// concrete sim times and reactions). The log is deterministic for a fixed
@@ -466,218 +460,5 @@ impl SchedulerState<'_> {
             seconds,
             at,
         });
-    }
-
-    /// The merge stage after one or more device losses: gathers only from
-    /// survivors, renormalizes `α_i` over them (Σα = 1 by construction),
-    /// reduces over a survivor-sized collective context, and redistributes
-    /// to survivors only. Dead devices' clocks freeze and their slots report
-    /// weight 0 in the record.
-    pub(super) fn merge_survivors(
-        &mut self,
-        to: &[Sender<ToManager>],
-        from: &Receiver<FromManager>,
-        mega: usize,
-    ) -> MergeDecision {
-        let alive_idx: Vec<usize> = (0..self.n()).filter(|&g| self.alive[g]).collect();
-        let k = alive_idx.len();
-        assert!(k >= 1, "no surviving device to merge");
-
-        if let Some(arena) = self.delta_arena.as_mut() {
-            // Sparse gather from survivors only: the union (and thus the
-            // charged schedule) is over the survivor subset's row sets.
-            for &g in &alive_idx {
-                let (rows, payload) = arena.lend(g);
-                to[g]
-                    .send(ToManager::GetDelta { rows, payload })
-                    .expect("manager channel closed");
-            }
-        } else {
-            for &g in &alive_idx {
-                to[g]
-                    .send(ToManager::GetModel {
-                        buf: self.arena.lend(g),
-                    })
-                    .expect("manager channel closed");
-            }
-        }
-        let mut norms_full = vec![0.0f64; self.n()];
-        let mut received = 0usize;
-        while received < k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Model {
-                    gpu,
-                    flat,
-                    norm_per_param,
-                } => {
-                    self.arena.restore(gpu, flat);
-                    norms_full[gpu] = norm_per_param;
-                    received += 1;
-                }
-                FromManager::Delta {
-                    gpu,
-                    rows,
-                    payload,
-                    norm_per_param,
-                } => {
-                    let mut base = self.arena.lend(gpu);
-                    asgd_collective::scatter_delta(&self.sparse_layout, &rows, &payload, &mut base);
-                    self.arena.restore(gpu, base);
-                    self.delta_arena
-                        .as_mut()
-                        .expect("Delta reply without a delta arena")
-                        .restore(gpu, rows, payload);
-                    norms_full[gpu] = norm_per_param;
-                    received += 1;
-                }
-                FromManager::Trained { .. } | FromManager::Redistributed { .. } => {
-                    unreachable!("non-gather reply during the merge gather")
-                }
-            }
-        }
-
-        // The merge sub-problem over survivors, in device-index order.
-        let sub_hypers: Vec<GpuHyper> = alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
-        let sub_norms: Vec<f64> = alive_idx.iter().map(|&g| norms_full[g]).collect();
-        let decision = match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                compute_merge_weights(&sub_hypers, &sub_norms, &params)
-            }
-            MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
-                weights: vec![1.0 / k as f64; k],
-                by_updates: false,
-                perturbed: false,
-            },
-        };
-        // Cluster runs subset the cluster context (survivors keep their
-        // original server assignments, so cross-server hops still pay the
-        // inter-node link); single-server runs keep the pre-cluster
-        // construction bit for bit.
-        let sub_ctx = if self.cfg.cluster.is_some() {
-            self.ctx.subset(&alive_idx)
-        } else {
-            let sub_profiles: Vec<DeviceProfile> = alive_idx
-                .iter()
-                .map(|&g| self.profiles[g].clone())
-                .collect();
-            CollectiveContext::new(
-                Topology::pcie(k).with_setup_scale(self.cfg.overhead_scale),
-                &sub_profiles,
-            )
-        };
-        let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
-        let mut bufs: Vec<FlatVec> = alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
-        let timing = reduce_with_oom_fallback(
-            &mut self.merge_memory,
-            &mut self.chaos,
-            self.cfg.fault_plan.as_ref(),
-            self.spec.allreduce,
-            self.cfg.cluster.as_ref().map(|cl| cl.inter),
-            &mut bufs,
-            &decision.weights,
-            &sub_ctx,
-            &arrivals,
-            mega,
-        );
-        let timing = match &self.delta_arena {
-            None => timing,
-            Some(da) => super::sparse_timing_or_dense(
-                da,
-                &self.sparse_layout,
-                &mut self.sparse_stats,
-                &asgd_collective::SparseMergePlan {
-                    algo: self.spec.allreduce,
-                    inter: self.cfg.cluster.as_ref().map(|cl| cl.inter),
-                    elem_bytes: self.cfg.precision.bytes(),
-                    max_density: self.cfg.sparse_max_density,
-                },
-                &alive_idx,
-                &sub_ctx,
-                &arrivals,
-                timing,
-            ),
-        };
-
-        match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                apply_global_update_flat(
-                    &bufs[0],
-                    &mut self.global,
-                    &mut self.prev_global,
-                    params.gamma,
-                );
-                redistribute_global(&self.global, &mut bufs);
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    to[g]
-                        .send(ToManager::SetModel(buf))
-                        .expect("manager channel closed");
-                }
-            }
-            MergeRule::Average { gamma } => {
-                apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
-                redistribute_global(&self.global, &mut bufs);
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    to[g]
-                        .send(ToManager::SetModel(buf))
-                        .expect("manager channel closed");
-                }
-            }
-            MergeRule::Crossbow { pull } => {
-                copy_to_global(&bufs[0], &mut self.global);
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    to[g]
-                        .send(ToManager::Blend {
-                            target: buf,
-                            pull: pull as f32,
-                        })
-                        .expect("manager channel closed");
-                }
-            }
-        }
-
-        let mut returned = 0usize;
-        while returned < k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Redistributed { gpu, buf } => {
-                    self.arena.restore(gpu, buf);
-                    returned += 1;
-                }
-                FromManager::Trained { .. }
-                | FromManager::Model { .. }
-                | FromManager::Delta { .. } => {
-                    unreachable!("non-Redistributed reply during redistribution")
-                }
-            }
-        }
-
-        for &g in &alive_idx {
-            self.devices[g].advance_to(timing.end);
-        }
-        // Sampled mode: survivors re-hash the output neurons post-sync.
-        self.charge_lsh_rebuild();
-        // Full-length weights for the record: dead slots carry weight 0.
-        let mut weights_full = vec![0.0f64; self.n()];
-        for (&g, &w) in alive_idx.iter().zip(&decision.weights) {
-            weights_full[g] = w;
-        }
-        self.trace.record(
-            DeviceId(alive_idx[0]),
-            timing.start,
-            timing.end,
-            format!(
-                "merge (survivors {:?}, weights {:?}, perturbed {})",
-                alive_idx,
-                weights_full
-                    .iter()
-                    .map(|w| (w * 1000.0).round() / 1000.0)
-                    .collect::<Vec<_>>(),
-                decision.perturbed
-            ),
-        );
-        MergeDecision {
-            weights: weights_full,
-            by_updates: decision.by_updates,
-            perturbed: decision.perturbed,
-        }
     }
 }

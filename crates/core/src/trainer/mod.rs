@@ -25,7 +25,10 @@ mod messages;
 
 use crate::checkpoint::TrainingState;
 use crate::hyper::{GpuHyper, ScalingParams};
-use crate::merging::{apply_global_update_flat, compute_merge_weights, MergeDecision, MergeParams};
+use crate::merging::{
+    apply_global_update_flat, compute_merge_weights, redistribute_global, MergeDecision,
+    MergeParams,
+};
 use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
 use arena::{DeltaArena, MergeArena};
@@ -498,7 +501,6 @@ impl Trainer {
             // at the run's storage precision) plus slack; an OOM fault hogs
             // the capacity so the scratch request genuinely fails.
             merge_memory: MemoryTracker::new((n * param_len * cfg.precision.bytes()) as u64 + 4096),
-            profiles: profiles.clone(),
             delta_arena: (cfg.sparse_merge
                 && cfg.sampled_softmax.is_some()
                 && !matches!(self.spec.merge_rule, MergeRule::Crossbow { .. }))
@@ -600,9 +602,6 @@ struct SchedulerState<'a> {
     chaos: ChaosStats,
     /// Memory budget of the merge stage's pooled scratch.
     merge_memory: MemoryTracker,
-    /// Overhead-scaled device profiles (kept for rebuilding a survivor-sized
-    /// collective context after a device loss).
-    profiles: Vec<DeviceProfile>,
     /// `Some` iff the sparse delta merge is active: recycled per-replica
     /// `(rows, payload)` pairs. When active, [`Self::arena`] slots double as
     /// each manager's *base* — the payload of its last `SetModel` — between
@@ -837,10 +836,6 @@ impl SchedulerState<'_> {
             ScalingPolicy::AdaptiveMultiplicative => crate::hyper::ScalingRule::Multiplicative,
             ScalingPolicy::Fixed => return,
         };
-        if self.alive.iter().all(|&a| a) {
-            crate::hyper::scale_batch_sizes_with(&mut self.hypers, &self.cfg.scaling_params, rule);
-            return;
-        }
         let alive_idx: Vec<usize> = (0..self.n()).filter(|&g| self.alive[g]).collect();
         let mut sub: Vec<GpuHyper> = alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
         crate::hyper::scale_batch_sizes_with(&mut sub, &self.cfg.scaling_params, rule);
@@ -989,8 +984,13 @@ impl SchedulerState<'_> {
         }
     }
 
-    /// One full model-merging stage: collect replicas, compute weights,
-    /// all-reduce, global update, redistribute, advance clocks.
+    /// One full model-merging stage over the alive replicas: collect them,
+    /// compute weights, all-reduce, global update, redistribute, advance
+    /// clocks. The fault-free fleet is the case where every replica is
+    /// alive; after a device loss, `α_i` renormalize over the survivors
+    /// (Σα = 1 by construction), the reduction runs over a survivor-sized
+    /// collective context, dead clocks freeze, and dead slots report weight
+    /// 0 in the returned decision.
     ///
     /// Model-sized payloads live in the scheduler's [`MergeArena`]: every
     /// buffer is lent to its manager for the gather (`GetModel` → `Model`),
@@ -1003,27 +1003,30 @@ impl SchedulerState<'_> {
         from: &Receiver<FromManager>,
         mega_index: usize,
     ) -> MergeDecision {
-        if self.alive.iter().any(|&a| !a) {
-            return self.merge_survivors(to, from, mega_index);
-        }
         let n = self.n();
+        let alive_idx: Vec<usize> = (0..n).filter(|&g| self.alive[g]).collect();
+        let k = alive_idx.len();
+        assert!(k >= 1, "no surviving device to merge");
+
         if let Some(arena) = self.delta_arena.as_mut() {
-            for (g, tx) in to.iter().enumerate() {
+            for &g in &alive_idx {
                 let (rows, payload) = arena.lend(g);
-                tx.send(ToManager::GetDelta { rows, payload })
+                to[g]
+                    .send(ToManager::GetDelta { rows, payload })
                     .expect("manager channel closed");
             }
         } else {
-            for (g, tx) in to.iter().enumerate() {
-                tx.send(ToManager::GetModel {
-                    buf: self.arena.lend(g),
-                })
-                .expect("manager channel closed");
+            for &g in &alive_idx {
+                to[g]
+                    .send(ToManager::GetModel {
+                        buf: self.arena.lend(g),
+                    })
+                    .expect("manager channel closed");
             }
         }
         let mut norms = vec![0.0f64; n];
         let mut received = 0usize;
-        while received < n {
+        while received < k {
             match from.recv().expect("manager channel closed") {
                 FromManager::Model {
                     gpu,
@@ -1060,9 +1063,14 @@ impl SchedulerState<'_> {
         }
 
         let decision = match self.spec.merge_rule {
-            MergeRule::Normalized(params) => compute_merge_weights(&self.hypers, &norms, &params),
+            MergeRule::Normalized(params) => {
+                let hypers: Vec<GpuHyper> =
+                    alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
+                let norms: Vec<f64> = alive_idx.iter().map(|&g| norms[g]).collect();
+                compute_merge_weights(&hypers, &norms, &params)
+            }
             MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
-                weights: vec![1.0 / n as f64; n],
+                weights: vec![1.0 / k as f64; k],
                 by_updates: false,
                 perturbed: false,
             },
@@ -1083,59 +1091,70 @@ impl SchedulerState<'_> {
                 "staleness bound violated at merge {mega_index}: {updates:?} vs {bound:?}"
             );
         }
-        let arrivals: Vec<SimTime> = self.devices.iter().map(|d| d.now()).collect();
+        // Survivors keep their original server assignments in a subset
+        // context, so cross-server hops still pay the inter-node link.
+        let sub_ctx;
+        let ctx = if k == n {
+            &self.ctx
+        } else {
+            sub_ctx = self.ctx.subset(&alive_idx);
+            &sub_ctx
+        };
+        let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
+        let mut bufs: Vec<FlatVec> = alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
         let timing = chaos::reduce_with_oom_fallback(
             &mut self.merge_memory,
             &mut self.chaos,
             self.cfg.fault_plan.as_ref(),
             self.spec.allreduce,
             self.cfg.cluster.as_ref().map(|cl| cl.inter),
-            self.arena.buffers_mut(),
+            &mut bufs,
             &decision.weights,
-            &self.ctx,
+            ctx,
             &arrivals,
             mega_index,
         );
         let timing = match &self.delta_arena {
             None => timing,
-            Some(da) => {
-                let gpus: Vec<usize> = (0..n).collect();
-                sparse_timing_or_dense(
-                    da,
-                    &self.sparse_layout,
-                    &mut self.sparse_stats,
-                    &SparseMergePlan {
-                        algo: self.spec.allreduce,
-                        inter: self.cfg.cluster.as_ref().map(|cl| cl.inter),
-                        elem_bytes: self.cfg.precision.bytes(),
-                        max_density: self.cfg.sparse_max_density,
-                    },
-                    &gpus,
-                    &self.ctx,
-                    &arrivals,
-                    timing,
-                )
-            }
+            Some(da) => sparse_timing_or_dense(
+                da,
+                &self.sparse_layout,
+                &mut self.sparse_stats,
+                &SparseMergePlan {
+                    algo: self.spec.allreduce,
+                    inter: self.cfg.cluster.as_ref().map(|cl| cl.inter),
+                    elem_bytes: self.cfg.precision.bytes(),
+                    max_density: self.cfg.sparse_max_density,
+                },
+                &alive_idx,
+                ctx,
+                &arrivals,
+                timing,
+            ),
         };
 
+        // Every buffer now holds the merged model.
         match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                self.redistribute_set_model(to, params.gamma);
-            }
-            MergeRule::Average { gamma } => {
-                self.redistribute_set_model(to, gamma);
+            MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
+                apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
+                redistribute_global(&self.global, &mut bufs);
+                for (&g, buf) in alive_idx.iter().zip(bufs) {
+                    to[g]
+                        .send(ToManager::SetModel(buf))
+                        .expect("manager channel closed");
+                }
             }
             MergeRule::Crossbow { pull } => {
-                // The merged model becomes the new global; each buffer
-                // already holds it, so the blend targets ship with zero
-                // copies.
-                copy_to_global(self.arena.buffer(0), &mut self.global);
-                for (g, tx) in to.iter().enumerate() {
-                    tx.send(ToManager::Blend {
-                        target: self.arena.lend(g),
-                        pull: pull as f32,
-                    })
-                    .expect("manager channel closed");
+                // The merged model becomes the new global; the blend targets
+                // ship with zero copies.
+                copy_to_global(&bufs[0], &mut self.global);
+                for (&g, buf) in alive_idx.iter().zip(bufs) {
+                    to[g]
+                        .send(ToManager::Blend {
+                            target: buf,
+                            pull: pull as f32,
+                        })
+                        .expect("manager channel closed");
                 }
             }
         }
@@ -1143,7 +1162,7 @@ impl SchedulerState<'_> {
         // Drain the redistribution acks, bringing every buffer home for the
         // next merge.
         let mut returned = 0usize;
-        while returned < n {
+        while returned < k {
             match from.recv().expect("manager channel closed") {
                 FromManager::Redistributed { gpu, buf } => {
                     self.arena.restore(gpu, buf);
@@ -1157,45 +1176,37 @@ impl SchedulerState<'_> {
             }
         }
 
-        let t0 = timing.start;
-        for d in self.devices.iter_mut() {
-            d.advance_to(timing.end);
+        for &g in &alive_idx {
+            self.devices[g].advance_to(timing.end);
         }
-        // Sampled mode: every manager re-hashes the output neurons against
+        // Sampled mode: every survivor re-hashes the output neurons against
         // the freshly synced model.
         self.charge_lsh_rebuild();
+        let mut weights = vec![0.0f64; n];
+        for (&g, &w) in alive_idx.iter().zip(&decision.weights) {
+            weights[g] = w;
+        }
+        let survivors = if k < n {
+            format!("survivors {alive_idx:?}, ")
+        } else {
+            String::new()
+        };
         self.trace.record(
-            DeviceId(0),
-            t0,
+            DeviceId(alive_idx[0]),
+            timing.start,
             timing.end,
             format!(
-                "merge (weights {:?}, perturbed {})",
-                decision
-                    .weights
+                "merge ({survivors}weights {:?}, perturbed {})",
+                weights
                     .iter()
                     .map(|w| (w * 1000.0).round() / 1000.0)
                     .collect::<Vec<_>>(),
                 decision.perturbed
             ),
         );
-        decision
-    }
-
-    /// Applies the momentum global update from the merged model (held by
-    /// every arena buffer after the all-reduce) and redistributes the new
-    /// global through the recycled buffers.
-    fn redistribute_set_model(&mut self, to: &[Sender<ToManager>], gamma: f64) {
-        apply_global_update_flat(
-            self.arena.buffer(0),
-            &mut self.global,
-            &mut self.prev_global,
-            gamma,
-        );
-        let mut bufs: Vec<FlatVec> = (0..to.len()).map(|g| self.arena.lend(g)).collect();
-        crate::merging::redistribute_global(&self.global, &mut bufs);
-        for (tx, buf) in to.iter().zip(bufs) {
-            tx.send(ToManager::SetModel(buf))
-                .expect("manager channel closed");
+        MergeDecision {
+            weights,
+            ..decision
         }
     }
 

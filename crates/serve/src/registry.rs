@@ -25,6 +25,7 @@
 //! never alias two different layers).
 
 use asgd_model::{Mlp, MlpConfig};
+use asgd_stats::fnv::fnv1a;
 use asgd_tensor::{bf16, Precision};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,32 +60,17 @@ impl LayerBuf {
         }
     }
 
-    /// FNV-1a over the stored byte representation.
+    /// FNV-1a over the stored byte representation: the element width as a
+    /// tag byte, then the little-endian values.
     fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
         match self {
             LayerBuf::F32(v) => {
-                eat(4);
-                for x in v {
-                    for b in x.to_le_bytes() {
-                        eat(b);
-                    }
-                }
+                fnv1a(std::iter::once(4).chain(v.iter().flat_map(|x| x.to_le_bytes())))
             }
             LayerBuf::Bf16(v) => {
-                eat(2);
-                for x in v {
-                    for b in x.to_le_bytes() {
-                        eat(b);
-                    }
-                }
+                fnv1a(std::iter::once(2).chain(v.iter().flat_map(|x| x.to_le_bytes())))
             }
         }
-        h
     }
 }
 

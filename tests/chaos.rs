@@ -11,7 +11,7 @@ use adaptive_sgd::collective::InterNode;
 use adaptive_sgd::core::metrics::RunResult;
 use adaptive_sgd::core::{
     algorithms,
-    trainer::{RunConfig, SampledSoftmax, Trainer},
+    trainer::{MergeInterval, RunConfig, SampledSoftmax, Trainer},
     AppliedFault, ClusterConfig, StalenessBound,
 };
 use adaptive_sgd::data::{generate, DatasetSpec, XmlDataset};
@@ -451,4 +451,36 @@ fn losing_the_last_survivor_is_refused() {
         "second loss must be refused"
     );
     assert_balanced_accounting(&result, MEGAS, 512);
+}
+
+#[test]
+fn crossbow_rule_survives_device_loss() {
+    // The partial-pull (Blend) redistribution over survivors: CROSSBOW's
+    // merge rule at mega-batch merging, with one replica lost mid-run.
+    let ds = dataset();
+    let mut spec = algorithms::crossbow_sma();
+    spec.merge_interval = MergeInterval::MegaBatch;
+    let run_once = || {
+        let mut cfg = config(MEGAS);
+        cfg.trace = true;
+        cfg.fault_plan = Some(FaultPlan::new().device_loss(1, 5, 1));
+        Trainer::new(spec.clone(), heterogeneous_server(3), cfg).run(&ds)
+    };
+    let a = run_once();
+    let b = run_once();
+    assert_eq!(a.final_model, b.final_model);
+    assert_eq!(a.trace, b.trace);
+    assert_eq!(a.chaos, b.chaos);
+
+    assert_eq!(a.records.len(), MEGAS);
+    assert_eq!(a.chaos.lost_gpus, vec![1]);
+    for r in &a.records[1..] {
+        assert_eq!(r.merge_weights[1], 0.0, "dead replica kept merge weight");
+        assert_weight_sum(r);
+    }
+    assert!(
+        a.final_model.iter().all(|w| w.is_finite()),
+        "non-finite weights after a Crossbow run with a device loss"
+    );
+    assert_balanced_accounting(&a, MEGAS, 512);
 }
