@@ -126,6 +126,14 @@ if [[ "${1:-}" != "quick" ]]; then
             "$tmp_out/serve8/serve_probe_${serve_seed}_${fault_seed}.txt"
     echo "serve seeds $serve_seed/$fault_seed: bit-identical at ASGD_THREADS=1 and =8, matches checked-in report"
 
+    echo "== serve benchmark reproduction =="
+    # BENCH_serve.json (adaptive vs fixed micro-batching on the two-tier
+    # fleet) is all simulated time, so it must regenerate byte-for-byte.
+    ASGD_OUT_DIR="$tmp_out/servejson" \
+        cargo run --release -p asgd-bench --bin run_all BENCH_serve >/dev/null
+    diff -u results/BENCH_serve.json "$tmp_out/servejson/BENCH_serve.json"
+    echo "BENCH_serve.json reproduced byte-for-byte"
+
     echo "== autoscale fleet determinism across thread counts =="
     # A multi-tenant fleet run (registry dedup, prediction cache, hedged
     # requests, elastic autoscaling, faults) must be a pure function of

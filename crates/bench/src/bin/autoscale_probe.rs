@@ -34,14 +34,36 @@
 
 use asgd_bench::fleet::{FleetKnobs, FleetScenario, FLEET_SLOTS};
 use asgd_gpusim::FaultPlan;
-use asgd_serve::FleetOutcome;
+use asgd_serve::{FaultAction, FaultRecord, FleetOutcome};
 use asgd_stats::fnv1a;
 use std::fmt::Write as _;
 
+/// Writes one fault record in the fleet wording (replicas are slots).
+fn render_fault(report: &mut String, f: &FaultRecord) {
+    let (at, t) = (format!("w{}+{}", f.window, f.ordinal), f.target);
+    let line = match f.action {
+        FaultAction::Speed { factor } => format!("slot{t} speed -> {factor:.2}"),
+        FaultAction::Stall { seconds } => format!("slot{t} stalled {seconds:.3}s"),
+        FaultAction::Lost | FaultAction::LostWithServer => format!("slot{t} lost"),
+        FaultAction::LossRefused => format!("slot{t} loss REFUSED (last survivor)"),
+        FaultAction::ServerLost => format!("server{t} lost"),
+        FaultAction::ServerLossRefused => format!("server{t} loss REFUSED (no survivor outside)"),
+        FaultAction::Unreachable { seconds } => format!("server{t} unreachable {seconds:.3}s"),
+    };
+    let _ = writeln!(report, "fault: {at}: {line}");
+    if f.action == FaultAction::Lost {
+        let _ = writeln!(
+            report,
+            "fault: {at}: {} queued drain through survivors",
+            f.queued
+        );
+    }
+}
+
 fn render(report: &mut String, label: &str, o: &FleetOutcome) {
     let _ = writeln!(report, "[{label}]");
-    for line in &o.fault_log {
-        let _ = writeln!(report, "fault: {line}");
+    for f in &o.fault_log {
+        render_fault(report, f);
     }
     for (i, r) in o.replicas.iter().enumerate() {
         let _ = writeln!(

@@ -29,7 +29,9 @@ use asgd_data::DatasetSpec;
 use asgd_gpusim::profile::{homogeneous_server, two_tier_server};
 use asgd_gpusim::FaultPlan;
 use asgd_model::MlpConfig;
-use asgd_serve::{open_loop_stream, serve, LatencyStats, ServeConfig, ServeOutcome};
+use asgd_serve::{
+    open_loop_stream, serve, FaultAction, FaultRecord, FleetOutcome, LatencyStats, ServeConfig,
+};
 use asgd_stats::fnv1a;
 use std::fmt::Write as _;
 
@@ -47,10 +49,26 @@ fn quantiles_us(stats: &LatencyStats) -> (f64, f64, f64) {
     (v(&stats.p50), v(&stats.p95), v(&stats.p99))
 }
 
-fn render(report: &mut String, label: &str, outcome: &ServeOutcome) {
+/// One fault-log line in the single-server wording (replicas are GPUs).
+fn fault_line(f: &FaultRecord) -> String {
+    let (at, g) = (format!("w{}+{}", f.window, f.ordinal), f.target);
+    match f.action {
+        FaultAction::Speed { factor } => format!("{at}: gpu{g} speed -> {factor:.2}"),
+        FaultAction::Stall { seconds } => format!("{at}: gpu{g} stalled {seconds:.3}s"),
+        FaultAction::Lost => format!(
+            "{at}: gpu{g} lost; {} queued re-dispatched to {} survivors",
+            f.queued, f.survivors
+        ),
+        FaultAction::LossRefused => format!("{at}: gpu{g} loss REFUSED (last survivor)"),
+        // `FaultPlan::random` plans device faults only.
+        other => format!("{at}: {other:?} (target {g})"),
+    }
+}
+
+fn render(report: &mut String, label: &str, outcome: &FleetOutcome) {
     let _ = writeln!(report, "[{label}]");
-    for line in &outcome.fault_log {
-        let _ = writeln!(report, "fault: {line}");
+    for f in &outcome.fault_log {
+        let _ = writeln!(report, "fault: {}", fault_line(f));
     }
     for (i, r) in outcome.replicas.iter().enumerate() {
         let (p50, p95, p99) = quantiles_us(&r.stats);

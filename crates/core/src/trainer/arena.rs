@@ -38,16 +38,6 @@ impl MergeArena {
         }
     }
 
-    /// Number of replica slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the arena holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// The storage precision every slot carries.
     pub fn precision(&self) -> Precision {
         self.precision
@@ -77,31 +67,6 @@ impl MergeArena {
         assert_eq!(buf.precision(), self.precision, "arena buffer precision");
         assert!(self.slots[g].is_empty(), "arena slot {g} restored twice");
         self.slots[g] = buf;
-    }
-
-    /// All buffers at once, for the in-place all-reduce.
-    ///
-    /// # Panics
-    /// Panics if any buffer is on loan.
-    pub fn buffers_mut(&mut self) -> &mut [FlatVec] {
-        assert!(
-            self.slots.iter().all(|s| s.len() == self.param_len),
-            "all-reduce with arena buffers on loan"
-        );
-        &mut self.slots
-    }
-
-    /// GPU `g`'s buffer, read-only.
-    ///
-    /// # Panics
-    /// Panics if the buffer is on loan.
-    pub fn buffer(&self, g: usize) -> &FlatVec {
-        assert_eq!(
-            self.slots[g].len(),
-            self.param_len,
-            "arena slot {g} on loan"
-        );
-        &self.slots[g]
     }
 }
 
@@ -227,7 +192,9 @@ mod tests {
             assert_eq!(v.as_ptr() as usize, ptr, "round {round} refill reallocated");
             arena.restore(0, FlatVec::F32(v));
         }
-        assert_eq!(arena.buffer(0).as_ptr_addr(), ptr);
+        let home = arena.lend(0);
+        assert_eq!(home.as_ptr_addr(), ptr);
+        arena.restore(0, home);
     }
 
     #[test]
@@ -245,26 +212,8 @@ mod tests {
         arena.restore(0, FlatVec::Bf16(v));
         let again = arena.lend(0);
         assert_eq!(again.as_ptr_addr(), ptr, "recycle must keep the allocation");
+        assert_eq!(again.get_f32(0), 1.5);
         arena.restore(0, again);
-        assert_eq!(arena.buffer(0).get_f32(0), 1.5);
-    }
-
-    #[test]
-    fn buffers_mut_exposes_all_slots() {
-        let mut arena = MergeArena::new(3, 4, Precision::F32);
-        for g in 0..3 {
-            let mut b = match arena.lend(g) {
-                FlatVec::F32(v) => v,
-                other => panic!("f32 arena lent {other:?}"),
-            };
-            b.resize(4, g as f32);
-            arena.restore(g, FlatVec::F32(b));
-        }
-        assert_eq!(arena.len(), 3);
-        assert!(!arena.is_empty());
-        let bufs = arena.buffers_mut();
-        assert_eq!(bufs.len(), 3);
-        assert_eq!(bufs[2], FlatVec::F32(vec![2.0; 4]));
     }
 
     #[test]
@@ -279,13 +228,5 @@ mod tests {
     fn restoring_wrong_precision_panics() {
         let mut arena = MergeArena::new(1, 4, Precision::Bf16);
         arena.restore(0, FlatVec::F32(vec![0.0; 4]));
-    }
-
-    #[test]
-    #[should_panic(expected = "on loan")]
-    fn reading_a_lent_buffer_panics() {
-        let mut arena = MergeArena::new(1, 4, Precision::F32);
-        let _b = arena.lend(0);
-        let _ = arena.buffer(0);
     }
 }

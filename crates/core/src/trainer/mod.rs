@@ -1468,8 +1468,10 @@ mod tests {
                 buf.extend((0..len).map(|i| replica(merge, g, i)));
                 arena.restore(g, FlatVec::F32(buf));
             }
+            // Lend every slot for the in-place all-reduce, as the merge does.
+            let mut bufs: Vec<FlatVec> = (0..n).map(|g| arena.lend(g)).collect();
             asgd_collective::allreduce_flat(
-                arena.buffers_mut(),
+                &mut bufs,
                 &weights,
                 Algorithm::MultiStreamRing { partitions: n },
                 &ctx,
@@ -1486,12 +1488,9 @@ mod tests {
                 &ctx,
                 &arrivals,
             );
-            for (g, f) in fresh.iter().enumerate() {
-                assert_eq!(
-                    arena.buffer(g),
-                    &FlatVec::F32(f.clone()),
-                    "merge {merge} gpu {g}"
-                );
+            for (g, (buf, f)) in bufs.into_iter().zip(&fresh).enumerate() {
+                assert_eq!(buf, FlatVec::F32(f.clone()), "merge {merge} gpu {g}");
+                arena.restore(g, buf);
             }
         }
     }

@@ -1,47 +1,28 @@
-//! The serving engine: dynamic dispatch + adaptive micro-batching over
-//! simulated heterogeneous devices.
+//! The single-model serving front end: dynamic dispatch + adaptive
+//! micro-batching of one model over simulated heterogeneous devices.
 //!
-//! One model replica runs per simulated GPU. A single scheduler loop owns
-//! every *decision*: it admits arrivals into a central FIFO queue, hands the
-//! next micro-batch to whichever replica's virtual clock frees first (the
-//! paper's one-batch-at-a-time dynamic dispatch, repurposed for inference),
-//! charges the batch's forward kernels to that device, and records
-//! per-request latency. Decisions consume only virtual clocks and seeded
-//! state, so the entire schedule — every dispatch, latency, and fault
-//! reaction — is a pure function of `(request seed, fault seed)` regardless
-//! of `ASGD_THREADS`.
-//!
-//! The *math* runs for real off the decision path: each replica has a worker
-//! thread owning a reused [`Workspace`], sharing the read-only model, and
-//! predictions land in an id-indexed buffer — so the numeric results are
-//! independent of worker completion order, and bit-identical at any thread
-//! count because every tensor kernel is.
-//!
-//! Degradation: requests wait in the central queue, never on a device. A
-//! [`FaultKind::DeviceLoss`] therefore loses nothing — the dead replica
-//! simply stops being dispatched to and the queue drains through survivors.
-//! Its worker drains already-shipped batches before exiting (the channel is
-//! FIFO), so even in-flight results are kept. Loss of the last survivor is
-//! refused, as in the chaos trainer.
+//! [`serve`] is the fleet scheduler ([`crate::fleet`]) in its simplest
+//! configuration: one registry version, one tenant, one server, every slot
+//! commissioned for the whole run, no prediction cache, no hedging. One
+//! model replica runs per simulated GPU, the next micro-batch goes to
+//! whichever replica's virtual clock frees first (the paper's
+//! one-batch-at-a-time dynamic dispatch, repurposed for inference), and the
+//! whole schedule — every dispatch, latency, and fault reaction — is a pure
+//! function of `(request seed, fault seed)` regardless of `ASGD_THREADS`.
 
-use crate::slo::SloController;
-use crate::stream::Request;
+use crate::fleet::{self, FleetConfig, FleetOutcome};
+use crate::loadgen::TenantRequest;
+use crate::registry::ModelRegistry;
 use asgd_core::ScalingParams;
 use asgd_gpusim::device::build_server;
-use asgd_gpusim::{DeviceProfile, FaultEvent, FaultKind, FaultPlan, SimTime};
-use asgd_model::workload::inference_kernels;
-use asgd_model::{Mlp, Workspace};
+use asgd_gpusim::{ClusterTopology, DeviceProfile, FaultPlan};
+use asgd_model::Mlp;
 use asgd_sparse::CsrMatrix;
-use asgd_stats::{percentile, Histogram, P2Quantile};
+use asgd_stats::{Histogram, P2Quantile};
 use asgd_tensor::Precision;
-use std::collections::VecDeque;
-use std::sync::mpsc;
 
 /// Histogram bins of the latency distribution (per replica and fleet).
 const HIST_BINS: usize = 64;
-/// Histogram upper bound, in SLO multiples (tail beyond it lands in the
-/// saturating overflow bucket).
-const HIST_SLO_SPAN: f64 = 8.0;
 
 /// Serving-run parameters.
 #[derive(Debug, Clone)]
@@ -96,38 +77,6 @@ impl ServeConfig {
     }
 }
 
-/// Timing record of one served request (all in simulated seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestRecord {
-    /// Arrival at the admission queue.
-    pub arrival: f64,
-    /// Dispatch to a replica (queueing ends).
-    pub dispatched: f64,
-    /// Completion on the device.
-    pub completed: f64,
-    /// Serving replica index.
-    pub replica: usize,
-    /// Size of the micro-batch this request rode in.
-    pub batch: usize,
-}
-
-impl RequestRecord {
-    /// End-to-end latency (the SLO'd quantity).
-    pub fn latency(&self) -> f64 {
-        self.completed - self.arrival
-    }
-
-    /// Time spent waiting in the admission queue.
-    pub fn queueing(&self) -> f64 {
-        self.dispatched - self.arrival
-    }
-
-    /// Time spent computing on the device.
-    pub fn compute(&self) -> f64 {
-        self.completed - self.dispatched
-    }
-}
-
 /// Streaming latency statistics of one replica (or, merged, of the fleet).
 #[derive(Debug, Clone)]
 pub struct LatencyStats {
@@ -139,7 +88,7 @@ pub struct LatencyStats {
     pub p99: P2Quantile,
     /// Latency histogram over `[0, hi)`.
     pub hist: Histogram,
-    hi: f64,
+    pub(crate) hi: f64,
 }
 
 impl LatencyStats {
@@ -169,7 +118,7 @@ impl LatencyStats {
 
     /// Folds another replica's statistics into this one. P² merging is
     /// order-dependent — callers MUST fold replicas in ascending replica
-    /// index (as [`ServeOutcome::fleet_latency`] does), never in completion
+    /// index (as [`FleetOutcome::fleet_latency`] does), never in completion
     /// order, or the fleet quantiles stop being thread-count independent.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.p50.merge(&other.p50);
@@ -179,400 +128,53 @@ impl LatencyStats {
     }
 }
 
-/// Per-replica serving summary.
-#[derive(Debug, Clone)]
-pub struct ReplicaReport {
-    /// Device name (from the profile).
-    pub name: String,
-    /// Still alive at end of run.
-    pub alive: bool,
-    /// Requests served.
-    pub served: usize,
-    /// Micro-batches executed.
-    pub batches: usize,
-    /// Micro-batch size at end of run.
-    pub final_b: usize,
-    /// Micro-batch size after each controller window (the trajectory the
-    /// acceptance report prints).
-    pub trajectory: Vec<usize>,
-    /// Latency statistics of the requests this replica served.
-    pub stats: LatencyStats,
-}
-
-/// Everything a serving run produced.
-#[derive(Debug, Clone)]
-pub struct ServeOutcome {
-    /// Per-request timing, indexed by request id (`None` = never served;
-    /// the zero-loss guarantee says there are none).
-    pub records: Vec<Option<RequestRecord>>,
-    /// Row-major `n_requests × k_eff` predicted class ids, indexed by
-    /// request id — independent of dispatch and completion order.
-    pub predictions: Vec<u32>,
-    /// Classes returned per request (`min(k, num_classes)`).
-    pub k_eff: usize,
-    /// Per-replica summaries, by replica index.
-    pub replicas: Vec<ReplicaReport>,
-    /// Human-readable log of every fault applied (or refused), in firing
-    /// order.
-    pub fault_log: Vec<String>,
-    /// Completion time of the last request, seconds.
-    pub makespan_s: f64,
-    /// Requests served.
-    pub served: usize,
-    /// Requests generated but never served (zero by construction; recorded
-    /// so tests and reports can assert it).
-    pub lost: usize,
-}
-
-impl ServeOutcome {
-    /// Fleet-wide latency statistics: per-replica collectors folded in
-    /// ascending replica index — the deterministic merge order that keeps
-    /// fleet quantiles independent of thread count and completion order.
-    pub fn fleet_latency(&self) -> LatencyStats {
-        let hi = self.replicas.first().map_or(1.0, |r| r.stats.hi);
-        let mut fleet = LatencyStats::new(hi);
-        for r in &self.replicas {
-            fleet.merge(&r.stats);
-        }
-        fleet
-    }
-
-    /// Served requests per simulated second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.makespan_s > 0.0 {
-            self.served as f64 / self.makespan_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The predictions of one request (`k_eff` class ids), or `None` for an
-    /// id the run never generated — an unknown id is a caller-side lookup
-    /// miss, not a panic.
-    pub fn prediction(&self, id: u32) -> Option<&[u32]> {
-        let lo = (id as usize).checked_mul(self.k_eff)?;
-        self.predictions.get(lo..lo + self.k_eff)
-    }
-}
-
-/// One replica's scheduler-side state.
-struct ReplicaState {
-    device: asgd_gpusim::Device,
-    controller: SloController,
-    alive: bool,
-    served: usize,
-    batches: usize,
-    window_lat: Vec<f64>,
-    trajectory: Vec<usize>,
-    stats: LatencyStats,
-    tx: Option<mpsc::Sender<WorkItem>>,
-}
-
-/// A micro-batch shipped to a replica worker.
-struct WorkItem {
-    x: CsrMatrix,
-    ids: Vec<u32>,
-}
-
-/// Applies one due fault event. `anchor` is the scheduler's current virtual
-/// time — speed changes take effect from there, never retroactively.
-fn apply_fault(
-    replicas: &mut [ReplicaState],
-    e: FaultEvent,
-    anchor: f64,
-    queued: usize,
-    log: &mut Vec<String>,
-) {
-    let at = format!("w{}+{}", e.at_mega, e.after_batches);
-    match e.kind {
-        FaultKind::SpeedChange { factor } => {
-            if replicas[e.gpu].alive {
-                replicas[e.gpu]
-                    .device
-                    .schedule_speed_factor(SimTime(anchor), factor);
-                log.push(format!("{at}: gpu{} speed -> {factor:.2}", e.gpu));
-            }
-        }
-        FaultKind::Stall { seconds } => {
-            if replicas[e.gpu].alive {
-                let now = replicas[e.gpu].device.now();
-                replicas[e.gpu].device.advance_to(now + seconds);
-                log.push(format!("{at}: gpu{} stalled {seconds:.3}s", e.gpu));
-            }
-        }
-        FaultKind::DeviceLoss => {
-            let survivors = replicas.iter().filter(|r| r.alive).count();
-            if !replicas[e.gpu].alive {
-                // Already dead — nothing to do.
-            } else if survivors <= 1 {
-                log.push(format!("{at}: gpu{} loss REFUSED (last survivor)", e.gpu));
-            } else {
-                replicas[e.gpu].alive = false;
-                // Dropping the sender lets the worker drain its in-flight
-                // batches (channel is FIFO) and exit; results are kept.
-                replicas[e.gpu].tx = None;
-                log.push(format!(
-                    "{at}: gpu{} lost; {queued} queued re-dispatched to {} survivors",
-                    e.gpu,
-                    survivors - 1
-                ));
-            }
-        }
-        // Merge-OOM is a training-merge fault; `FaultPlan::due` never
-        // returns it and serving has no merge phase to degrade.
-        FaultKind::MergeOom => {}
-        // Cluster faults come only from `FaultPlan::random_cluster`, which
-        // the serving engine never uses: a serving fleet is a flat replica
-        // pool with no server grouping to lose or inter-node link to stall.
-        FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => {}
-    }
-}
-
-/// The alive replica whose virtual clock frees first (ties to the lowest
-/// index — the same deterministic rule as the training dispatcher).
-fn pick_replica(replicas: &[ReplicaState]) -> usize {
-    let mut best = usize::MAX;
-    let mut best_t = f64::INFINITY;
-    for (i, r) in replicas.iter().enumerate() {
-        if r.alive && r.device.now().secs() < best_t {
-            best_t = r.device.now().secs();
-            best = i;
-        }
-    }
-    assert!(best != usize::MAX, "no alive replica to dispatch to");
-    best
-}
-
 /// Runs a serving session: drains `requests` (rows of `pool`) through one
 /// replica of `model` per device in `profiles`, under `plan`'s faults
 /// (reinterpreted at `(window, dispatch ordinal)` points), with adaptive
 /// micro-batching per `config`.
 ///
-/// The returned outcome — every latency, trajectory entry, and prediction —
-/// is a pure function of the inputs, bit-identical at any `ASGD_THREADS`.
+/// The model is registered once at `config.precision` and served to the
+/// single tenant of the requests; the devices come from [`build_server`]
+/// under `config.device_seed`. The returned outcome — every latency,
+/// trajectory entry, and prediction — is a pure function of the inputs,
+/// bit-identical at any `ASGD_THREADS`.
 ///
 /// # Panics
-/// Panics on an empty server, an architecture/pool width mismatch, or a
-/// request referencing a row outside the pool.
+/// Panics on an empty server, an architecture/pool width mismatch, a
+/// request referencing a row outside the pool or a tenant other than 0, or
+/// a fault aimed at a device the server lacks.
 pub fn serve(
     model: &Mlp,
     profiles: &[DeviceProfile],
     pool: &CsrMatrix,
-    requests: &[Request],
+    requests: &[TenantRequest],
     plan: &FaultPlan,
     config: &ServeConfig,
-) -> ServeOutcome {
+) -> FleetOutcome {
     assert!(!profiles.is_empty(), "need at least one device");
-    assert!(config.k >= 1, "k must be at least 1");
-    assert!(config.window_dispatches >= 1, "window must be non-empty");
-    assert_eq!(
-        pool.cols(),
-        model.config().num_features,
-        "pool/model architecture mismatch"
-    );
-    assert!(
-        requests.iter().all(|r| r.pool_row < pool.rows()),
-        "request outside the pool"
-    );
-
-    // Serve the weights at the configured streaming precision. The f32 path
-    // borrows the caller's model untouched (golden outputs hold bit-exactly);
-    // bf16 rounds every weight once up front — the checkpoint the replicas
-    // "received" — and all the per-request math below stays f32.
-    let quantized_model;
-    let model = match config.precision {
-        Precision::F32 => model,
-        Precision::Bf16 => {
-            quantized_model = model.quantized(Precision::Bf16);
-            &quantized_model
-        }
-    };
-
-    let n = requests.len();
-    let k_eff = config.k.min(model.config().num_classes);
-    let hist_hi = config.slo_s * HIST_SLO_SPAN;
-    let mut records: Vec<Option<RequestRecord>> = vec![None; n];
-    let mut predictions = vec![0u32; n * k_eff];
-    let mut fault_log: Vec<String> = Vec::new();
-
-    let mut replicas: Vec<ReplicaState> = build_server(profiles, config.device_seed)
-        .into_iter()
-        .map(|device| ReplicaState {
-            device,
-            controller: SloController::new(config.scaling, config.slo_s),
-            alive: true,
-            served: 0,
-            batches: 0,
-            window_lat: Vec::new(),
-            trajectory: Vec::new(),
-            stats: LatencyStats::new(hist_hi),
-            tx: None,
-        })
-        .collect();
-
-    std::thread::scope(|scope| {
-        // One inference worker per replica: owns a workspace, shares the
-        // read-only model, writes nothing the scheduler reads.
-        let (res_tx, res_rx) = mpsc::channel::<(Vec<u32>, Vec<u32>)>();
-        for rep in replicas.iter_mut() {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            rep.tx = Some(tx);
-            let res = res_tx.clone();
-            scope.spawn(move || {
-                let mut ws = Workspace::new(model.config());
-                let mut out: Vec<u32> = Vec::new();
-                for item in rx {
-                    let got = model.predict_topk_ws(&item.x, k_eff, &mut ws, &mut out);
-                    debug_assert_eq!(got, k_eff);
-                    // Receiver outlives senders; a send can only fail if the
-                    // whole scope is unwinding already.
-                    let _ = res.send((item.ids, out.clone()));
-                }
-            });
-        }
-        drop(res_tx);
-
-        // The scheduler loop: single-threaded, virtual-time only.
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut next_arr = 0usize;
-        let mut window = 0usize;
-        let mut in_window = 0usize;
-        let mut batch: Vec<usize> = Vec::new();
-        let mut pool_rows: Vec<usize> = Vec::new();
-
-        loop {
-            if queue.is_empty() && next_arr >= n {
-                break;
-            }
-            // Fault events due before this dispatch.
-            let anchor = replicas[pick_replica(&replicas)].device.now().secs();
-            for e in plan.due(window, in_window, false) {
-                apply_fault(&mut replicas, e, anchor, queue.len(), &mut fault_log);
-            }
-
-            // Dispatch to whichever alive replica frees first, no earlier
-            // than the first pending request's arrival (open loop: devices
-            // idle until there is work).
-            let r = pick_replica(&replicas);
-            let free = replicas[r].device.now().secs();
-            let first_pending = match queue.front() {
-                Some(&q) => requests[q].arrival,
-                None => requests[next_arr].arrival,
-            };
-            let t = free.max(first_pending);
-            replicas[r].device.advance_to(SimTime(t));
-            while next_arr < n && requests[next_arr].arrival <= t {
-                queue.push_back(next_arr);
-                next_arr += 1;
-            }
-
-            // Cut the micro-batch: up to the replica's adaptive size, only
-            // requests that have actually arrived by `t`.
-            let b = replicas[r].controller.micro_batch();
-            batch.clear();
-            while batch.len() < b {
-                match queue.front() {
-                    Some(&q) if requests[q].arrival <= t => {
-                        batch.push(q);
-                        queue.pop_front();
-                    }
-                    _ => break,
-                }
-            }
-            debug_assert!(!batch.is_empty(), "dispatch with nothing arrived");
-
-            // Charge the device the forward kernels this batch costs.
-            pool_rows.clear();
-            pool_rows.extend(batch.iter().map(|&q| requests[q].pool_row));
-            let x = pool.select_rows(&pool_rows);
-            let kernels = inference_kernels(model.config(), x.rows(), x.nnz(), k_eff);
-            replicas[r].device.execute_all(&kernels);
-            let done = replicas[r].device.now().secs();
-
-            for &q in &batch {
-                let rec = RequestRecord {
-                    arrival: requests[q].arrival,
-                    dispatched: t,
-                    completed: done,
-                    replica: r,
-                    batch: batch.len(),
-                };
-                records[q] = Some(rec);
-                replicas[r].window_lat.push(rec.latency());
-                replicas[r].stats.record(rec.latency());
-            }
-            replicas[r].served += batch.len();
-            replicas[r].batches += 1;
-
-            // Ship the real math to the replica's worker.
-            let ids: Vec<u32> = batch.iter().map(|&q| requests[q].id).collect();
-            if let Some(tx) = &replicas[r].tx {
-                let _ = tx.send(WorkItem { x, ids });
-            }
-
-            in_window += 1;
-            if in_window == config.window_dispatches {
-                // Boundary sweep: never-reached ordinals fire here, exactly
-                // like the trainer's merge-boundary sweep.
-                let anchor = replicas[pick_replica(&replicas)].device.now().secs();
-                for e in plan.due(window, in_window, true) {
-                    apply_fault(&mut replicas, e, anchor, queue.len(), &mut fault_log);
-                }
-                for rep in replicas.iter_mut().filter(|r| r.alive) {
-                    if config.adaptive && !rep.window_lat.is_empty() {
-                        let p99 =
-                            percentile(&rep.window_lat, 0.99).expect("non-empty window latencies");
-                        rep.controller.observe_window(p99);
-                    }
-                    rep.trajectory.push(rep.controller.micro_batch());
-                    rep.window_lat.clear();
-                }
-                window += 1;
-                in_window = 0;
-            }
-        }
-
-        // Close every worker channel, then drain all results into the
-        // id-indexed prediction buffer (order-independent by construction).
-        for rep in replicas.iter_mut() {
-            rep.tx = None;
-        }
-        for (ids, out) in res_rx {
-            for (j, &id) in ids.iter().enumerate() {
-                predictions[id as usize * k_eff..(id as usize + 1) * k_eff]
-                    .copy_from_slice(&out[j * k_eff..(j + 1) * k_eff]);
-            }
-        }
-    });
-
-    let served = records.iter().filter(|r| r.is_some()).count();
-    let makespan_s = records
-        .iter()
-        .flatten()
-        .map(|r| r.completed)
-        .fold(0.0f64, f64::max);
-    let replicas = replicas
-        .into_iter()
-        .map(|rep| ReplicaReport {
-            name: rep.device.profile().name.clone(),
-            alive: rep.alive,
-            served: rep.served,
-            batches: rep.batches,
-            final_b: rep.controller.micro_batch(),
-            trajectory: rep.trajectory,
-            stats: rep.stats,
-        })
-        .collect();
-    ServeOutcome {
-        records,
-        predictions,
-        k_eff,
-        replicas,
-        fault_log,
-        makespan_s,
-        served,
-        lost: n - served,
+    let mut registry = ModelRegistry::new(*model.config());
+    let version = registry.register("model", model, config.precision);
+    let fleet_config = FleetConfig {
+        k: config.k,
+        slo_s: config.slo_s,
+        scaling: config.scaling,
+        adaptive: config.adaptive,
+        window_dispatches: config.window_dispatches,
+        device_seed: config.device_seed,
+        // The rest at the fleet defaults: no cache, no hedging.
+        ..FleetConfig::paper_defaults(1, config.slo_s)
     }
+    .static_replicas(profiles.len());
+    fleet::run(
+        &registry,
+        &[version],
+        build_server(profiles, config.device_seed),
+        &ClusterTopology::ethernet(1, profiles.len()),
+        pool,
+        requests,
+        plan,
+        &fleet_config,
+    )
 }
 
 #[cfg(test)]

@@ -1,16 +1,23 @@
-//! The multi-tenant fleet engine: registry-backed replicas, prediction
-//! cache, hedged requests, and elastic autoscaling in one virtual-time
-//! scheduler.
+//! The serving scheduler: registry-backed replicas, prediction cache,
+//! hedged requests, and elastic autoscaling in one virtual-time loop.
 //!
-//! This is [`crate::engine::serve`] grown to internet scale. The same
-//! architecture invariant holds — a **single scheduler loop owns every
-//! decision** (admission, cache lookups, version selection, dispatch,
-//! hedging, scaling, faults) and consumes only virtual device clocks and
-//! seeded state, while the real forward math runs on worker threads that
-//! write id-indexed buffers nobody schedules against. The outcome is
-//! therefore a pure function of `(load seed, fault seed, config)` at any
-//! `ASGD_THREADS`. What's new:
+//! This is the crate's only scheduler loop. [`crate::engine::serve`] runs it
+//! as its simplest case — one model, one tenant, one server, a static slot
+//! set, no cache, no hedging — and [`serve_fleet`] runs it at internet
+//! scale. Either way a **single scheduler loop owns every decision**
+//! (admission, cache lookups, version selection, dispatch, hedging, scaling,
+//! faults) and consumes only virtual device clocks and seeded state, while
+//! the real forward math runs on worker threads that write id-indexed
+//! buffers nobody schedules against. The outcome is therefore a pure
+//! function of `(load seed, fault seed, config)` at any `ASGD_THREADS`.
 //!
+//! - **Dynamic dispatch.** The next micro-batch goes to whichever
+//!   dispatchable slot's virtual clock frees first (the paper's
+//!   one-batch-at-a-time dispatch, repurposed for inference), sized by
+//!   that slot's [`SloController`]. Requests wait in the central queues,
+//!   never on a device, so a lost slot loses nothing: its worker finishes
+//!   the batches already shipped, the queue drains through the survivors,
+//!   and losing the last survivor is refused.
 //! - **Many models.** Requests carry a tenant; tenants map to registry
 //!   versions; each version has its own FIFO so a micro-batch is always
 //!   single-model. Dispatch serves the version whose queue head has waited
@@ -55,8 +62,8 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// Histogram span of per-replica latency stats, in SLO multiples (matches
-/// the single-model engine).
+/// Histogram upper bound of per-replica latency stats, in SLO multiples
+/// (tail beyond it lands in the saturating overflow bucket).
 const HIST_SLO_SPAN: f64 = 8.0;
 
 /// Fleet-run parameters.
@@ -203,10 +210,61 @@ pub struct FleetReplicaReport {
     pub batches: usize,
     /// Micro-batch size at end of run.
     pub final_b: usize,
+    /// Micro-batch size after each controller window the slot was
+    /// dispatchable in.
+    pub trajectory: Vec<usize>,
     /// Commissioned wall-time paid for, device-seconds.
     pub device_seconds: f64,
     /// Latency statistics of the requests this slot completed.
     pub stats: LatencyStats,
+}
+
+/// What a fault did to the fleet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultAction {
+    /// Slot `target` runs at `factor` × nominal speed from the fault on.
+    Speed {
+        /// New speed factor.
+        factor: f64,
+    },
+    /// Slot `target`'s clock jumped ahead.
+    Stall {
+        /// Stall length, seconds.
+        seconds: f64,
+    },
+    /// Slot `target` was lost; the queue drains through the survivors.
+    Lost,
+    /// Losing slot `target` was refused: it is the last survivor.
+    LossRefused,
+    /// Slot `target` went down with its server (recorded just before that
+    /// server's [`FaultAction::ServerLost`]).
+    LostWithServer,
+    /// Every live slot of server `target` was lost.
+    ServerLost,
+    /// Losing server `target` was refused: no survivor lives elsewhere.
+    ServerLossRefused,
+    /// Server `target`'s slots were unreachable for a while.
+    Unreachable {
+        /// Outage length, seconds.
+        seconds: f64,
+    },
+}
+
+/// One fault the scheduler applied (or refused), in firing order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultRecord {
+    /// Controller window the event was planned for.
+    pub window: usize,
+    /// Dispatch ordinal within that window.
+    pub ordinal: usize,
+    /// What happened.
+    pub action: FaultAction,
+    /// Slot index, or server index for the server actions.
+    pub target: usize,
+    /// Requests waiting for dispatch when it fired.
+    pub queued: usize,
+    /// Dispatchable slots after it.
+    pub survivors: usize,
 }
 
 /// Everything a fleet run produced.
@@ -221,8 +279,8 @@ pub struct FleetOutcome {
     pub k_eff: usize,
     /// Per-slot summaries, by slot index.
     pub replicas: Vec<FleetReplicaReport>,
-    /// Human-readable fault log, in firing order.
-    pub fault_log: Vec<String>,
+    /// Every fault applied or refused, in firing order.
+    pub fault_log: Vec<FaultRecord>,
     /// Autoscale decision per window (empty under static provisioning).
     pub trajectory: Vec<AutoscaleDecision>,
     /// Prediction-cache counters.
@@ -240,6 +298,18 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
+    /// Fleet-wide streaming latency statistics: per-slot collectors folded
+    /// in ascending slot index — the deterministic merge order that keeps
+    /// fleet quantiles independent of thread count and completion order.
+    pub fn fleet_latency(&self) -> LatencyStats {
+        let hi = self.replicas.first().map_or(1.0, |r| r.stats.hi);
+        let mut fleet = LatencyStats::new(hi);
+        for r in &self.replicas {
+            fleet.merge(&r.stats);
+        }
+        fleet
+    }
+
     /// Exact latency percentile over every served request (id order —
     /// deterministic, unlike completion-order streaming merges). `None` on
     /// an empty run.
@@ -280,6 +350,7 @@ struct Slot {
     served: usize,
     batches: usize,
     window_lat: Vec<f64>,
+    trajectory: Vec<usize>,
     stats: LatencyStats,
     /// Commissioned `(start, end)` intervals; `None` end = still open.
     intervals: Vec<(f64, Option<f64>)>,
@@ -312,19 +383,23 @@ struct WorkItem {
     ids: Vec<u32>,
 }
 
-/// The dispatchable slot whose clock frees first (ties to the lowest slot
-/// index).
-fn pick_slot(slots: &[Slot]) -> usize {
-    let mut best = usize::MAX;
+/// The dispatchable slot other than `skip` whose clock frees first (ties to
+/// the lowest slot index), or `None` when there is no such slot.
+fn earliest_free(slots: &[Slot], skip: Option<usize>) -> Option<usize> {
+    let mut best = None;
     let mut best_t = f64::INFINITY;
     for (i, s) in slots.iter().enumerate() {
-        if s.dispatchable() && s.device.now().secs() < best_t {
+        if Some(i) != skip && s.dispatchable() && s.device.now().secs() < best_t {
             best_t = s.device.now().secs();
-            best = i;
+            best = Some(i);
         }
     }
-    assert!(best != usize::MAX, "no dispatchable replica");
     best
+}
+
+/// The dispatchable slot whose clock frees first.
+fn pick_slot(slots: &[Slot]) -> usize {
+    earliest_free(slots, None).expect("no dispatchable replica")
 }
 
 /// Applies one due fault event to the fleet. Device indices address slots;
@@ -334,42 +409,53 @@ fn apply_fault(
     e: FaultEvent,
     anchor: f64,
     queued: usize,
-    log: &mut Vec<String>,
+    log: &mut Vec<FaultRecord>,
 ) {
-    let at = format!("w{}+{}", e.at_mega, e.after_batches);
-    let kill = |slots: &mut [Slot], i: usize, at: &str, anchor: f64, log: &mut Vec<String>| {
-        slots[i].alive = false;
-        if slots[i].commissioned {
-            slots[i].decommission(anchor);
+    let mut note = |slots: &[Slot], action: FaultAction, target: usize| {
+        log.push(FaultRecord {
+            window: e.at_mega,
+            ordinal: e.after_batches,
+            action,
+            target,
+            queued,
+            survivors: slots.iter().filter(|s| s.dispatchable()).count(),
+        })
+    };
+    let kill = |s: &mut Slot| {
+        s.alive = false;
+        if s.commissioned {
+            s.decommission(anchor);
         }
-        slots[i].tx = None;
-        log.push(format!("{at}: slot{i} lost"));
+        // Dropping the sender lets the worker drain its in-flight batches
+        // (the channel is FIFO) and exit; their results are kept.
+        s.tx = None;
     };
     match e.kind {
         FaultKind::SpeedChange { factor } => {
-            if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
-                s.device.schedule_speed_factor(SimTime(anchor), factor);
-                log.push(format!("{at}: slot{} speed -> {factor:.2}", e.gpu));
+            if slots[e.gpu].alive {
+                slots[e.gpu]
+                    .device
+                    .schedule_speed_factor(SimTime(anchor), factor);
+                note(slots, FaultAction::Speed { factor }, e.gpu);
             }
         }
         FaultKind::Stall { seconds } => {
-            if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
-                let now = s.device.now();
-                s.device.advance_to(now + seconds);
-                log.push(format!("{at}: slot{} stalled {seconds:.3}s", e.gpu));
+            if slots[e.gpu].alive {
+                let now = slots[e.gpu].device.now();
+                slots[e.gpu].device.advance_to(now + seconds);
+                note(slots, FaultAction::Stall { seconds }, e.gpu);
             }
         }
         FaultKind::DeviceLoss => {
-            let Some(s) = slots.get(e.gpu) else { return };
-            if !s.alive {
+            if !slots[e.gpu].alive {
                 return;
             }
             let survivors = slots.iter().filter(|s| s.dispatchable()).count();
-            if s.commissioned && survivors <= 1 {
-                log.push(format!("{at}: slot{} loss REFUSED (last survivor)", e.gpu));
+            if slots[e.gpu].commissioned && survivors <= 1 {
+                note(slots, FaultAction::LossRefused, e.gpu);
             } else {
-                kill(slots, e.gpu, &at, anchor, log);
-                log.push(format!("{at}: {queued} queued drain through survivors"));
+                kill(&mut slots[e.gpu]);
+                note(slots, FaultAction::Lost, e.gpu);
             }
         }
         FaultKind::ServerLoss => {
@@ -386,15 +472,13 @@ fn apply_fault(
             if victims.is_empty() {
                 // Nothing alive there — nothing to do.
             } else if outside == 0 {
-                log.push(format!(
-                    "{at}: server{} loss REFUSED (no survivor outside)",
-                    e.gpu
-                ));
+                note(slots, FaultAction::ServerLossRefused, e.gpu);
             } else {
                 for i in victims {
-                    kill(slots, i, &at, anchor, log);
+                    kill(&mut slots[i]);
+                    note(slots, FaultAction::LostWithServer, i);
                 }
-                log.push(format!("{at}: server{} lost", e.gpu));
+                note(slots, FaultAction::ServerLost, e.gpu);
             }
         }
         FaultKind::InterNodeStall { seconds } => {
@@ -405,7 +489,7 @@ fn apply_fault(
                 let now = s.device.now();
                 s.device.advance_to(now + seconds);
             }
-            log.push(format!("{at}: server{} unreachable {seconds:.3}s", e.gpu));
+            note(slots, FaultAction::Unreachable { seconds }, e.gpu);
         }
         // Training-merge fault; serving has no merge phase.
         FaultKind::MergeOom => {}
@@ -424,10 +508,14 @@ fn apply_fault(
 /// The returned outcome — every latency, decision, and prediction — is a
 /// pure function of the inputs, bit-identical at any `ASGD_THREADS`.
 ///
+/// Slot `i`'s device is seeded `config.device_seed ^ i`, so slots jitter
+/// independently.
+///
 /// # Panics
 /// Panics on an empty fleet, more slots than cluster devices, an unknown
-/// tenant or version, an architecture/pool mismatch, or a request
-/// referencing a row outside the pool.
+/// tenant or version, an architecture/pool mismatch, a request referencing
+/// a row outside the pool, a device fault aimed at a slot the fleet lacks,
+/// or a server fault aimed at a server the topology lacks.
 #[allow(clippy::too_many_arguments)] // the session's full input tuple, each independently owned
 pub fn serve_fleet(
     registry: &ModelRegistry,
@@ -439,11 +527,61 @@ pub fn serve_fleet(
     plan: &FaultPlan,
     config: &FleetConfig,
 ) -> FleetOutcome {
-    assert!(!profiles.is_empty(), "need at least one replica slot");
+    let devices = profiles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Device::new(DeviceId(i), p.clone(), config.device_seed ^ i as u64))
+        .collect();
+    run(
+        registry,
+        tenant_versions,
+        devices,
+        topo,
+        pool,
+        requests,
+        plan,
+        config,
+    )
+}
+
+/// The scheduler loop behind [`serve_fleet`] and [`crate::engine::serve`]:
+/// `devices[i]` is slot `i`'s device, already built and seeded; everything
+/// else is as in [`serve_fleet`].
+#[allow(clippy::too_many_arguments)] // the session's full input tuple, each independently owned
+pub(crate) fn run(
+    registry: &ModelRegistry,
+    tenant_versions: &[VersionId],
+    devices: Vec<Device>,
+    topo: &ClusterTopology,
+    pool: &CsrMatrix,
+    requests: &[TenantRequest],
+    plan: &FaultPlan,
+    config: &FleetConfig,
+) -> FleetOutcome {
+    let n_slots = devices.len();
+    assert!(n_slots > 0, "need at least one replica slot");
     assert!(
-        profiles.len() <= topo.n_devices(),
+        n_slots <= topo.n_devices(),
         "more replica slots than cluster devices"
     );
+    for e in plan.events() {
+        match e.kind {
+            FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => assert!(
+                e.gpu < topo.servers(),
+                "fault aimed at server {} of a {}-server cluster",
+                e.gpu,
+                topo.servers()
+            ),
+            FaultKind::SpeedChange { .. } | FaultKind::Stall { .. } | FaultKind::DeviceLoss => {
+                assert!(
+                    e.gpu < n_slots,
+                    "fault aimed at slot {} of a {n_slots}-slot fleet",
+                    e.gpu
+                )
+            }
+            FaultKind::MergeOom => {}
+        }
+    }
     assert!(config.k >= 1, "k must be at least 1");
     assert!(config.window_dispatches >= 1, "window must be non-empty");
     assert!(!tenant_versions.is_empty(), "need at least one tenant");
@@ -487,7 +625,7 @@ pub fn serve_fleet(
 
     let mut records: Vec<Option<FleetRecord>> = vec![None; n];
     let mut predictions = vec![0u32; n * k_eff];
-    let mut fault_log: Vec<String> = Vec::new();
+    let mut fault_log: Vec<FaultRecord> = Vec::new();
     let mut trajectory: Vec<AutoscaleDecision> = Vec::new();
     let mut cache = PredictionCache::new(config.cache_capacity);
     // id of a cache hit → id of the computed request whose predictions it
@@ -501,23 +639,23 @@ pub fn serve_fleet(
 
     let mut autoscaler = match config.provisioning {
         Provisioning::Auto => Some(AutoscaleController::new(
-            config.r_min.min(profiles.len()).max(1),
-            profiles.len(),
+            config.r_min.min(n_slots).max(1),
+            n_slots,
             config.autoscale_beta,
             config.autoscale_target_depth,
         )),
         Provisioning::Static(_) => None,
     };
     let initial = match config.provisioning {
-        Provisioning::Auto => config.r_min.min(profiles.len()).max(1),
-        Provisioning::Static(s) => s.clamp(1, profiles.len()),
+        Provisioning::Auto => config.r_min.min(n_slots).max(1),
+        Provisioning::Static(s) => s.clamp(1, n_slots),
     };
 
-    let mut slots: Vec<Slot> = profiles
-        .iter()
+    let mut slots: Vec<Slot> = devices
+        .into_iter()
         .enumerate()
-        .map(|(i, p)| Slot {
-            device: Device::new(DeviceId(i), p.clone(), config.device_seed ^ i as u64),
+        .map(|(i, device)| Slot {
+            device,
             server: i % topo.servers(),
             controller: SloController::new(config.scaling, config.slo_s),
             alive: true,
@@ -525,6 +663,7 @@ pub fn serve_fleet(
             served: 0,
             batches: 0,
             window_lat: Vec::new(),
+            trajectory: Vec::new(),
             stats: LatencyStats::new(hist_hi),
             intervals: Vec::new(),
             tx: None,
@@ -668,39 +807,32 @@ pub fn serve_fleet(
                 let mut winner = r;
                 let mut hedged = false;
                 let mut hedge_won = false;
-                if hedge_policy.should_hedge(wait) {
-                    let mut best = usize::MAX;
-                    let mut best_t = f64::INFINITY;
-                    for (i, s) in slots.iter().enumerate() {
-                        if i != r && s.dispatchable() && s.device.now().secs() < best_t {
-                            best_t = s.device.now().secs();
-                            best = i;
-                        }
-                    }
-                    if best != usize::MAX {
-                        hedged = true;
-                        hedge_stats.issued += 1;
-                        let h = best;
-                        let t2 = slots[h].device.now().secs().max(t);
-                        slots[h].device.advance_to(SimTime(t2));
-                        let x1 = pool.select_rows(&[requests[q].pool_row]);
-                        let k1 = inference_kernels(model.config(), 1, x1.nnz(), k_eff);
-                        slots[h].device.execute_all(&k1);
-                        let h_done = slots[h].device.now().secs();
-                        let h_completed = h_done + rtt(slots[h].server);
-                        if h_completed < completed {
-                            hedge_won = true;
-                            hedge_stats.wins += 1;
-                            completed = h_completed;
-                            winner = h;
-                        } else {
-                            // Cancelled when the primary's completion
-                            // reaches the frontend; work past that point is
-                            // reclaimed in virtual time.
-                            hedge_stats.losses += 1;
-                            let cancel = completed.max(t2);
-                            hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
-                        }
+                let hedge_slot = hedge_policy
+                    .should_hedge(wait)
+                    .then(|| earliest_free(&slots, Some(r)))
+                    .flatten();
+                if let Some(h) = hedge_slot {
+                    hedged = true;
+                    hedge_stats.issued += 1;
+                    let t2 = slots[h].device.now().secs().max(t);
+                    slots[h].device.advance_to(SimTime(t2));
+                    let x1 = pool.select_rows(&[requests[q].pool_row]);
+                    let k1 = inference_kernels(model.config(), 1, x1.nnz(), k_eff);
+                    slots[h].device.execute_all(&k1);
+                    let h_done = slots[h].device.now().secs();
+                    let h_completed = h_done + rtt(slots[h].server);
+                    if h_completed < completed {
+                        hedge_won = true;
+                        hedge_stats.wins += 1;
+                        completed = h_completed;
+                        winner = h;
+                    } else {
+                        // Cancelled when the primary's completion
+                        // reaches the frontend; work past that point is
+                        // reclaimed in virtual time.
+                        hedge_stats.losses += 1;
+                        let cancel = completed.max(t2);
+                        hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
                     }
                 }
                 let rec = FleetRecord {
@@ -753,6 +885,7 @@ pub fn serve_fleet(
                         let p99 = percentile(&s.window_lat, 0.99).expect("non-empty window");
                         s.controller.observe_window(p99);
                     }
+                    s.trajectory.push(s.controller.micro_batch());
                     s.window_lat.clear();
                 }
                 if let Some(ctl) = autoscaler.as_mut() {
@@ -831,6 +964,7 @@ pub fn serve_fleet(
                 served: s.served,
                 batches: s.batches,
                 final_b: s.controller.micro_batch(),
+                trajectory: s.trajectory,
                 device_seconds,
                 stats: s.stats,
             }

@@ -9,29 +9,23 @@
 //! `ASGD_THREADS` reproduces every arrival, dispatch, and latency bit for
 //! bit.
 
+use crate::loadgen::TenantRequest;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// One inference request: a row of the request pool arriving at a fixed
-/// simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Request {
-    /// Dense request id, `0..n` in arrival order — the index of this
-    /// request's latency record and prediction rows.
-    pub id: u32,
-    /// Arrival time, simulated seconds from stream start.
-    pub arrival: f64,
-    /// Row of the request pool holding this request's feature vector.
-    pub pool_row: usize,
-}
 
 /// Generates `n` requests with exponential inter-arrival times at mean rate
 /// `rate_rps` (a Poisson process), each drawing a uniform row of a
-/// `pool_rows`-row request pool. Arrivals are strictly increasing; the same
+/// `pool_rows`-row request pool. Every request belongs to tenant 0 (the
+/// single-model case). Arrivals are strictly increasing; the same
 /// `(seed, n, rate_rps, pool_rows)` always yields the same stream.
 ///
 /// # Panics
 /// Panics when the rate is not positive or the pool is empty.
-pub fn open_loop_stream(seed: u64, n: usize, rate_rps: f64, pool_rows: usize) -> Vec<Request> {
+pub fn open_loop_stream(
+    seed: u64,
+    n: usize,
+    rate_rps: f64,
+    pool_rows: usize,
+) -> Vec<TenantRequest> {
     assert!(rate_rps > 0.0, "arrival rate must be positive");
     assert!(pool_rows > 0, "request pool must be non-empty");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_57EA_4D15_7A7C);
@@ -41,9 +35,10 @@ pub fn open_loop_stream(seed: u64, n: usize, rate_rps: f64, pool_rows: usize) ->
             let u: f64 = rng.gen();
             // Inverse-CDF exponential; 1-u avoids ln(0).
             t += -(1.0 - u).ln() / rate_rps;
-            Request {
+            TenantRequest {
                 id: id as u32,
                 arrival: t,
+                tenant: 0,
                 pool_row: rng.gen_range(0..pool_rows),
             }
         })

@@ -9,8 +9,8 @@ use asgd_gpusim::profile::{homogeneous_server, two_tier_server};
 use asgd_gpusim::{ClusterTopology, DeviceProfile, FaultPlan};
 use asgd_model::{Mlp, MlpConfig};
 use asgd_serve::{
-    adapter_variant, fleet_stream, serve_fleet, FleetConfig, FleetLoadSpec, ModelRegistry,
-    VersionId,
+    adapter_variant, fleet_stream, serve_fleet, FaultAction, FleetConfig, FleetLoadSpec,
+    ModelRegistry, VersionId,
 };
 use asgd_tensor::Precision;
 
@@ -150,6 +150,7 @@ fn fleet_outcome_is_thread_count_invariant_with_everything_armed() {
     );
     for (a, b) in single.replicas.iter().zip(&eight.replicas) {
         assert_eq!(a.served, b.served);
+        assert_eq!(a.trajectory, b.trajectory, "trajectories diverged");
         assert_eq!(a.device_seconds.to_bits(), b.device_seconds.to_bits());
     }
 }
@@ -369,7 +370,10 @@ fn device_loss_in_a_fleet_loses_zero_requests() {
     assert!(outcome.records.iter().all(Option::is_some));
     assert!(!outcome.replicas[2].alive);
     assert!(
-        outcome.fault_log.iter().any(|l| l.contains("slot2 lost")),
+        outcome
+            .fault_log
+            .iter()
+            .any(|f| f.action == FaultAction::Lost && f.target == 2),
         "loss should be logged: {:?}",
         outcome.fault_log
     );
@@ -382,4 +386,34 @@ fn device_loss_in_a_fleet_loses_zero_requests() {
             .predict_topk(&x, config.k);
         assert_eq!(outcome.prediction(r.id).unwrap(), &direct[..]);
     }
+}
+
+/// A small static fleet run under `plan`: 4 slots on 2 servers.
+fn run_with_plan(plan: &FaultPlan) {
+    let ds = tiny_dataset();
+    let (reg, tenants) = three_tenant_registry(&ds);
+    let pool = &ds.test.features;
+    let requests = fleet_stream(7, &FleetLoadSpec::steady(40, 700.0, 3, 1.0, pool.rows()));
+    serve_fleet(
+        &reg,
+        &tenants,
+        &scaled(homogeneous_server(4)),
+        &ClusterTopology::ethernet(2, 2),
+        pool,
+        &requests,
+        plan,
+        &FleetConfig::paper_defaults(32, 0.050),
+    );
+}
+
+#[test]
+#[should_panic(expected = "fault aimed at slot 4 of a 4-slot fleet")]
+fn a_device_fault_past_the_last_slot_is_rejected_up_front() {
+    run_with_plan(&FaultPlan::new().device_loss(0, 1, 4));
+}
+
+#[test]
+#[should_panic(expected = "fault aimed at server 2 of a 2-server cluster")]
+fn a_server_fault_past_the_last_server_is_rejected_up_front() {
+    run_with_plan(&FaultPlan::new().server_loss(0, 1, 2));
 }

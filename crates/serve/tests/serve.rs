@@ -7,7 +7,7 @@ use asgd_data::{generate, DatasetSpec, XmlDataset};
 use asgd_gpusim::profile::{homogeneous_server, two_tier_server};
 use asgd_gpusim::{DeviceProfile, FaultPlan};
 use asgd_model::{Mlp, MlpConfig};
-use asgd_serve::{open_loop_stream, serve, Request, ServeConfig, ServeOutcome};
+use asgd_serve::{open_loop_stream, serve, FaultAction, FleetOutcome, ServeConfig, TenantRequest};
 use asgd_sparse::CsrMatrix;
 
 const HIDDEN: usize = 24;
@@ -49,10 +49,10 @@ fn run(
     model: &Mlp,
     profiles: &[DeviceProfile],
     pool: &CsrMatrix,
-    requests: &[Request],
+    requests: &[TenantRequest],
     plan: &FaultPlan,
     config: &ServeConfig,
-) -> ServeOutcome {
+) -> FleetOutcome {
     serve(model, profiles, pool, requests, plan, config)
 }
 
@@ -181,7 +181,10 @@ fn device_loss_mid_run_loses_zero_requests() {
         "three survivors"
     );
     assert!(
-        outcome.fault_log.iter().any(|l| l.contains("gpu2 lost")),
+        outcome
+            .fault_log
+            .iter()
+            .any(|f| f.action == FaultAction::Lost && f.target == 2 && f.survivors == 3),
         "loss should be logged: {:?}",
         outcome.fault_log
     );
@@ -224,7 +227,10 @@ fn losing_the_last_survivor_is_refused() {
     assert_eq!(outcome.lost, 0);
     assert_eq!(outcome.replicas.iter().filter(|r| r.alive).count(), 1);
     assert!(
-        outcome.fault_log.iter().any(|l| l.contains("REFUSED")),
+        outcome
+            .fault_log
+            .iter()
+            .any(|f| f.action == FaultAction::LossRefused),
         "refusal should be logged: {:?}",
         outcome.fault_log
     );
@@ -247,8 +253,14 @@ fn stall_and_speed_faults_keep_the_run_deterministic() {
     assert_eq!(a.lost, 0);
     assert_eq!(a.records, b.records);
     assert_eq!(a.fault_log, b.fault_log);
-    assert!(a.fault_log.iter().any(|l| l.contains("speed")));
-    assert!(a.fault_log.iter().any(|l| l.contains("stalled")));
+    assert!(a
+        .fault_log
+        .iter()
+        .any(|f| matches!(f.action, FaultAction::Speed { .. })));
+    assert!(a
+        .fault_log
+        .iter()
+        .any(|f| matches!(f.action, FaultAction::Stall { .. })));
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! | [`sparse`] | `asgd-sparse` | CSR matrices + SpMM kernels |
 //! | [`tensor`] | `asgd-tensor` | dense kernels (GEMM, softmax, …) |
 //! | [`stats`] | `asgd-stats` | seeded distributions + streaming statistics |
-//! | [`serve`] | `asgd-serve` | online inference with adaptive micro-batching |
+//! | [`serve`] | `asgd-serve` | online inference: one scheduler loop serves a single model (a static single-tenant fleet) or a multi-tenant fleet |
 //!
 //! # Quickstart
 //!
