@@ -228,6 +228,21 @@ if [[ "${1:-}" != "quick" ]]; then
         || { echo "sparse-merge bit-identity gates missing"; exit 1; }
     echo "sparse-merge acceptance: reproduced byte-for-byte, all four bit-identity gates hold"
 
+    echo "== full-scale acceptance =="
+    # BENCH_full_scale.json times one training step at the real Amazon-670k
+    # label space, dense versus LSH-sampled (candidate select included).
+    # Wall-clock varies by host, so only the same-run ratio is gated: the
+    # sampled step must stay at least 5x faster than the dense one. See
+    # DESIGN.md, "Sampled softmax & sparse output path".
+    ASGD_OUT_DIR="$tmp_out/fulljson" \
+        cargo run --release -p asgd-bench --bin run_all BENCH_full_scale >/dev/null
+    speedup="$(grep -o '"speedup_vs_dense_full": [0-9.]*' "$tmp_out/fulljson/BENCH_full_scale.json" \
+        | awk '{print $2}')"
+    [ -n "$speedup" ] || { echo "full-scale speedup_vs_dense_full missing"; exit 1; }
+    awk -v s="$speedup" 'BEGIN { exit !(s >= 5) }' \
+        || { echo "full-scale sampled step only ${speedup}x faster than dense (floor 5x)"; exit 1; }
+    echo "full-scale acceptance: sampled step ${speedup}x faster than dense (floor 5x)"
+
     echo "== kernel goldens across thread counts =="
     # The compute-kernel layer (blocked GEMM/SpMM micro-kernels, fused
     # epilogues, streaming top-k) promises bit-identical results for every

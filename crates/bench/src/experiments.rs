@@ -442,7 +442,10 @@ pub fn bench_kernels_json(env: &Env) -> String {
 /// step at the 1/100 label space (`670,091 / 100 ≈ 6.7k`) every other
 /// experiment runs at. The dense full-scale row is the path the sampled
 /// softmax replaces; the sampled row carries `speedup_vs_dense_full`
-/// (acceptance floor: ≥ 5x). Hardcoded full shape, hidden 128 — the
+/// (acceptance floor: ≥ 5x, gated in `ci.sh`) and its per-phase split:
+/// `select_ns` and `train_ns` per step (they sum to `ns_per_iter`) and
+/// `rebuild_ns`, one full LSH rebuild over the 670k output neurons.
+/// Hardcoded full shape, hidden 128 — the
 /// `merge_stage` methodology, not the `ASGD_SCALE` twin.
 pub fn bench_full_scale_json(env: &Env) -> String {
     use asgd_core::trainer::SampledSoftmax;
@@ -500,6 +503,8 @@ pub fn bench_full_scale_json(env: &Env) -> String {
         candidates: Option<usize>,
         steps: usize,
         ns_per_iter: f64,
+        /// Sampled rows: `(select_ns, train_ns, rebuild_ns)`.
+        phases: Option<(f64, f64, f64)>,
     }
     let mut out_rows: Vec<Row> = Vec::new();
 
@@ -544,6 +549,7 @@ pub fn bench_full_scale_json(env: &Env) -> String {
             candidates: None,
             steps,
             ns_per_iter: ns,
+            phases: None,
         });
     }
 
@@ -571,6 +577,7 @@ pub fn bench_full_scale_json(env: &Env) -> String {
             candidates: None,
             steps,
             ns_per_iter: ns,
+            phases: None,
         });
     }
     {
@@ -583,25 +590,38 @@ pub fn bench_full_scale_json(env: &Env) -> String {
             sampled_cfg.neg_samples,
             sampled_cfg.seed,
         );
-        sampler.rebuild(model.w2());
+        sampler.rebuild(model.w2()); // warm the worker pool and the index
+        let rebuilds = 2;
+        let t0 = std::time::Instant::now();
+        for _ in 0..rebuilds {
+            sampler.rebuild(model.w2());
+        }
+        let rebuild_ns = t0.elapsed().as_secs_f64() * 1e9 / rebuilds as f64;
         let label_views: Vec<&[u32]> = raw_labels.iter().map(|l| l.as_slice()).collect();
         let candidates = sampler.select(&label_views, env.seed).len();
         let steps = 8;
         let mut step_seed = env.seed;
-        let ns = time_steps(
-            steps,
-            Box::new(|| {
-                let cand = sampler.select(&label_views, step_seed).to_vec();
-                step_seed = step_seed.wrapping_add(1);
-                model.train_batch_sampled_ws(&x, &raw_labels, &cand, 1e-3, &mut ws);
-            }),
-        );
+        let (mut select_s, mut train_s) = (0.0f64, 0.0f64);
+        // Step 0 warms the buffers and is not timed.
+        for step in 0..=steps {
+            let t0 = std::time::Instant::now();
+            let cand = sampler.select(&label_views, step_seed).to_vec();
+            let t1 = std::time::Instant::now();
+            model.train_batch_sampled_ws(&x, &raw_labels, &cand, 1e-3, &mut ws);
+            if step > 0 {
+                select_s += (t1 - t0).as_secs_f64();
+                train_s += t1.elapsed().as_secs_f64();
+            }
+            step_seed = step_seed.wrapping_add(1);
+        }
+        let (select_ns, train_ns) = (select_s * 1e9 / steps as f64, train_s * 1e9 / steps as f64);
         out_rows.push(Row {
             mode: "sampled",
             classes: full_classes,
             candidates: Some(candidates),
             steps,
-            ns_per_iter: ns,
+            ns_per_iter: select_ns + train_ns,
+            phases: Some((select_ns, train_ns, rebuild_ns)),
         });
     }
 
@@ -624,6 +644,12 @@ pub fn bench_full_scale_json(env: &Env) -> String {
         );
         if let Some(c) = r.candidates {
             let _ = write!(out, ", \"candidates\": {c}");
+        }
+        if let Some((select, train, rebuild)) = r.phases {
+            let _ = write!(
+                out,
+                ", \"select_ns\": {select:.0}, \"train_ns\": {train:.0}, \"rebuild_ns\": {rebuild:.0}"
+            );
         }
         if r.mode == "sampled" {
             if let Some(dense_ns) = dense_full_ns {

@@ -9,42 +9,10 @@
 //! the host CPU happens to run a manager thread.
 
 use super::messages::{FromManager, ToManager};
-use super::SampledSoftmax;
 use asgd_data::XmlDataset;
 use asgd_model::{Mlp, Workspace};
 use asgd_slide::CandidateSampler;
-use asgd_tensor::{FlatVec, Matrix};
 use std::sync::mpsc::{Receiver, Sender};
-
-/// The sampled-softmax state one manager owns: the candidate sampler plus a
-/// scratch `W₂` used to rebuild the LSH tables from a *blend target* (the
-/// merged global model) instead of the post-blend replica — blended replicas
-/// differ across managers, and candidate sets must not (see the determinism
-/// contract in `asgd_slide::sampler`).
-struct SampledState {
-    sampler: CandidateSampler,
-    /// Lazily sized `hidden × classes` scratch for blend-target rebuilds.
-    w2_scratch: Matrix,
-}
-
-impl SampledState {
-    /// Rebuilds the LSH tables from the global model carried in a `Blend`
-    /// target: the `W₂` region of the flat layout (bf16 widens exactly, so
-    /// every manager reads identical f32 bits).
-    fn rebuild_from_flat(&mut self, target: &FlatVec, model: &Mlp) {
-        let c = model.config();
-        let (h, classes) = (c.hidden, c.num_classes);
-        if self.w2_scratch.shape() != (h, classes) {
-            self.w2_scratch = Matrix::zeros(h, classes);
-        }
-        let w2_off = c.num_features * h + h;
-        let dst = self.w2_scratch.as_mut_slice();
-        for (i, v) in dst.iter_mut().enumerate() {
-            *v = target.get_f32(w2_off + i);
-        }
-        self.sampler.rebuild(&self.w2_scratch);
-    }
-}
 
 /// Tracks which sparse rows (W1 feature rows first, then output-class
 /// columns) this replica has dirtied since its last model sync — the
@@ -123,11 +91,11 @@ impl DirtyRows {
 /// steady-state training steps reuse every activation/gradient buffer
 /// instead of re-allocating them per batch.
 ///
-/// With `sampled` set, training runs the LSH-sampled softmax: the manager
-/// owns a [`CandidateSampler`] whose tables are rebuilt at every model-sync
-/// point (startup, `SetModel`, `Blend`) from bytes identical on every
-/// replica, so a batch's candidate set depends only on
-/// `(LSH seed, synced model, batch labels, sample_seed)` — never on which
+/// With `sampler` set, training runs the LSH-sampled softmax. The manager
+/// never hashes: it draws candidates from the index the scheduler built
+/// over the synced model — at startup, and carried by every `SetModel` and
+/// `Blend` — so a batch's candidate set depends only on
+/// `(LSH seed, synced model, batch labels, sample_seed)`, never on which
 /// manager trains it.
 pub(crate) fn run_manager(
     gpu: usize,
@@ -135,23 +103,9 @@ pub(crate) fn run_manager(
     dataset: &XmlDataset,
     rx: Receiver<ToManager>,
     tx: Sender<FromManager>,
-    sampled: Option<SampledSoftmax>,
+    mut sampler: Option<CandidateSampler>,
 ) {
     let mut ws = Workspace::new(replica.config());
-    let mut sampled: Option<SampledState> = sampled.map(|s| {
-        let mut sampler = CandidateSampler::new(
-            s.tables,
-            s.k_bits,
-            replica.config().hidden,
-            s.neg_samples,
-            s.seed,
-        );
-        sampler.rebuild(replica.w2());
-        SampledState {
-            sampler,
-            w2_scratch: Matrix::zeros(0, 0),
-        }
-    });
     let mut dirty = DirtyRows::new(replica.config().num_features, replica.config().num_classes);
     // Dense training touches every `W₂` column, so a dirty-row delta after a
     // dense batch would silently under-report; the trainer only sends
@@ -175,9 +129,9 @@ pub(crate) fn run_manager(
                         .iter()
                         .map(|&i| dataset.train.labels[i].as_slice()),
                 );
-                let out = match sampled.as_mut() {
-                    Some(state) => {
-                        let cand = state.sampler.select(&labels, sample_seed);
+                let out = match sampler.as_mut() {
+                    Some(sampler) => {
+                        let cand = sampler.select(&labels, sample_seed);
                         // The candidate set *is* the exact W₂ touched set:
                         // every candidate column gets an update write.
                         dirty.mark_features(x.indices());
@@ -214,26 +168,20 @@ pub(crate) fn run_manager(
                     return;
                 }
             }
-            ToManager::SetModel(buf) => {
+            ToManager::SetModel { buf, lsh } => {
                 replica.read_flat_buf(&buf);
                 // A model sync is the delta baseline: nothing dirty yet.
                 dirty.clear();
-                if let Some(state) = sampled.as_mut() {
-                    // Every replica just became the same global model:
-                    // rebuilding here keeps the tables bit-identical
-                    // across managers.
-                    state.sampler.rebuild(replica.w2());
+                if let Some(s) = sampler.as_mut() {
+                    s.adopt(lsh.expect("sampled-mode sync without an LSH index"));
                 }
                 if tx.send(FromManager::Redistributed { gpu, buf }).is_err() {
                     return;
                 }
             }
-            ToManager::Blend { target, pull } => {
-                if let Some(state) = sampled.as_mut() {
-                    // Blended replicas diverge per manager; hash the shared
-                    // blend *target* instead so candidate selection stays
-                    // replica-independent.
-                    state.rebuild_from_flat(&target, &replica);
+            ToManager::Blend { target, pull, lsh } => {
+                if let Some(s) = sampler.as_mut() {
+                    s.adopt(lsh.expect("sampled-mode sync without an LSH index"));
                 }
                 replica.blend_from_flat_buf(&target, pull);
                 dirty.mark_all();
@@ -276,10 +224,13 @@ pub(crate) fn run_manager(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::{index_over_flat, SampledSoftmax};
     use asgd_data::{generate, DatasetSpec};
     use asgd_model::MlpConfig;
+    use asgd_slide::LshIndex;
     use asgd_tensor::{FlatVec, Precision};
     use std::sync::mpsc::channel;
+    use std::sync::Arc;
 
     fn setup() -> (XmlDataset, Mlp) {
         let ds = generate(&DatasetSpec::tiny("m"), 3);
@@ -301,13 +252,13 @@ mod tests {
         ds: &XmlDataset,
         model: Mlp,
         cmds: Vec<ToManager>,
-        sampled: Option<SampledSoftmax>,
+        sampler: Option<CandidateSampler>,
     ) -> Vec<FromManager> {
         let (to_tx, to_rx) = channel();
         let (from_tx, from_rx) = channel();
         let mut replies = Vec::new();
         std::thread::scope(|s| {
-            s.spawn(|| run_manager(0, model, ds, to_rx, from_tx, sampled));
+            s.spawn(|| run_manager(0, model, ds, to_rx, from_tx, sampler));
             for c in cmds {
                 to_tx.send(c).unwrap();
             }
@@ -370,7 +321,10 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::SetModel(target.clone()),
+                ToManager::SetModel {
+                    buf: target.clone(),
+                    lsh: None,
+                },
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::F32),
                 },
@@ -399,7 +353,10 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::SetModel(target.clone()),
+                ToManager::SetModel {
+                    buf: target.clone(),
+                    lsh: None,
+                },
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::Bf16),
                 },
@@ -420,7 +377,11 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::Blend { target, pull: 0.5 },
+                ToManager::Blend {
+                    target,
+                    pull: 0.5,
+                    lsh: None,
+                },
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::F32),
                 },
@@ -464,7 +425,7 @@ mod tests {
             let ptr = buf.as_ptr_addr();
 
             // Redistribute and train, then gather again with the same buffer.
-            to_tx.send(ToManager::SetModel(buf)).unwrap();
+            to_tx.send(ToManager::SetModel { buf, lsh: None }).unwrap();
             let buf = match from_rx.recv().unwrap() {
                 FromManager::Redistributed { buf, .. } => buf,
                 other => panic!("unexpected {other:?}"),
@@ -528,6 +489,75 @@ mod tests {
         }
     }
 
+    /// The index the scheduler ships with a sync to `flat`.
+    fn index_for(flat: &FlatVec, config: &MlpConfig) -> Arc<LshIndex> {
+        Arc::new(index_over_flat(&sampled_cfg(), config, flat))
+    }
+
+    /// A sampled-mode manager's sampler, starting from the index of `model`.
+    fn sampler_for(model: &Mlp) -> Option<CandidateSampler> {
+        let start = index_for(&FlatVec::F32(model.to_flat()), model.config());
+        Some(CandidateSampler::with_index(
+            start,
+            sampled_cfg().neg_samples,
+        ))
+    }
+
+    /// One sync, one index: every manager adopts the `Arc` the sync carries
+    /// (no copy) and lets go of its previous index.
+    #[test]
+    fn managers_share_the_index_a_sync_carries() {
+        let (ds, model) = setup();
+        let config = *model.config();
+        let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let start = index_for(&FlatVec::F32(model.to_flat()), &config);
+        let next = index_for(&synced, &config);
+        let (from_tx, from_rx) = channel();
+        std::thread::scope(|s| {
+            let mut to = Vec::new();
+            for g in 0..3 {
+                let (tx, rx) = channel();
+                let sampler = CandidateSampler::with_index(Arc::clone(&start), 8);
+                let (replica, ftx, ds) = (model.clone(), from_tx.clone(), &ds);
+                s.spawn(move || run_manager(g, replica, ds, rx, ftx, Some(sampler)));
+                to.push(tx);
+            }
+            assert_eq!(Arc::strong_count(&start), 4);
+            for tx in &to {
+                tx.send(ToManager::SetModel {
+                    buf: synced.clone(),
+                    lsh: Some(Arc::clone(&next)),
+                })
+                .unwrap();
+            }
+            for _ in 0..3 {
+                assert!(matches!(
+                    from_rx.recv().unwrap(),
+                    FromManager::Redistributed { .. }
+                ));
+            }
+            assert_eq!(Arc::strong_count(&next), 4, "a manager copied the index");
+            assert_eq!(Arc::strong_count(&start), 1, "a manager kept the old index");
+            for tx in &to {
+                tx.send(ToManager::Stop).unwrap();
+            }
+        });
+    }
+
+    /// Sampled mode without an index at a sync is a protocol error.
+    #[test]
+    #[should_panic(expected = "without an LSH index")]
+    fn sampled_sync_without_an_index_panics() {
+        let (ds, model) = setup();
+        let buf = FlatVec::F32(model.to_flat());
+        let sampler = sampler_for(&model);
+        let (to_tx, to_rx) = channel();
+        let (from_tx, _from_rx) = channel();
+        to_tx.send(ToManager::SetModel { buf, lsh: None }).unwrap();
+        // On the test thread, so the manager's panic fails the test.
+        run_manager(0, model, &ds, to_rx, from_tx, sampler);
+    }
+
     /// Two managers given the same synced model and the same `Train` message
     /// must produce bit-identical losses and replicas — this is exactly the
     /// property the device-loss re-dispatch path relies on: the surviving
@@ -537,12 +567,17 @@ mod tests {
     fn sampled_training_is_replica_independent() {
         let (ds, model) = setup();
         let synced = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
+        let lsh = index_for(&synced, model.config());
         let run = |model: Mlp| {
+            let sampler = sampler_for(&model);
             drive_mode(
                 &ds,
                 model,
                 vec![
-                    ToManager::SetModel(synced.clone()),
+                    ToManager::SetModel {
+                        buf: synced.clone(),
+                        lsh: Some(Arc::clone(&lsh)),
+                    },
                     ToManager::Train {
                         batch_ids: vec![0, 2, 4],
                         lr: 0.1,
@@ -552,10 +587,10 @@ mod tests {
                         buf: FlatVec::empty(Precision::F32),
                     },
                 ],
-                Some(sampled_cfg()),
+                sampler,
             )
         };
-        // Different pre-sync replicas: the sync point must erase the
+        // Different pre-sync replicas (and startup indexes): the sync point must erase the
         // difference entirely.
         let a = run(Mlp::init(model.config(), 1));
         let b = run(Mlp::init(model.config(), 2));
@@ -582,11 +617,15 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let sampler = sampler_for(&model);
         let replies = drive_mode(
             &ds,
             model,
             vec![
-                ToManager::SetModel(synced.clone()),
+                ToManager::SetModel {
+                    buf: synced.clone(),
+                    lsh: Some(index_for(&synced, &config)),
+                },
                 ToManager::Train {
                     batch_ids: vec![0, 2, 4],
                     lr: 0.1,
@@ -600,7 +639,7 @@ mod tests {
                     buf: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            sampler,
         );
         let (rows, payload) = match &replies[2] {
             FromManager::Delta { rows, payload, .. } => (rows, payload),
@@ -628,6 +667,7 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let sampler = sampler_for(&model);
         let replies = drive_mode(
             &ds,
             model,
@@ -637,13 +677,16 @@ mod tests {
                     lr: 0.1,
                     sample_seed: 3,
                 },
-                ToManager::SetModel(synced.clone()),
+                ToManager::SetModel {
+                    buf: synced.clone(),
+                    lsh: Some(index_for(&synced, &config)),
+                },
                 ToManager::GetDelta {
                     rows: Vec::new(),
                     payload: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            sampler,
         );
         let (rows, payload) = match &replies[2] {
             FromManager::Delta { rows, payload, .. } => (rows, payload),
@@ -667,17 +710,23 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let lsh = Some(index_for(&target, &config));
+        let sampler = sampler_for(&model);
         let replies = drive_mode(
             &ds,
             model,
             vec![
-                ToManager::Blend { target, pull: 0.5 },
+                ToManager::Blend {
+                    target,
+                    pull: 0.5,
+                    lsh,
+                },
                 ToManager::GetDelta {
                     rows: Vec::new(),
                     payload: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            sampler,
         );
         let rows = match &replies[1] {
             FromManager::Delta { rows, .. } => rows,
@@ -687,60 +736,5 @@ mod tests {
         assert_eq!(rows.len(), total);
         assert_eq!(rows.first(), Some(&0));
         assert_eq!(rows.last(), Some(&((total - 1) as u32)));
-    }
-
-    /// A blend rebuild hashes the shared blend *target*'s `W₂` region of the
-    /// flat layout, not the per-manager blended replica: selecting after
-    /// [`SampledState::rebuild_from_flat`] must match selecting after a
-    /// direct rebuild from the target's dense `W₂` — for f32 and (exactly
-    /// widened) bf16 targets alike.
-    #[test]
-    fn blend_rebuild_reads_the_target_w2_region() {
-        let (_ds, model) = setup();
-        let config = *model.config();
-        let target_model = Mlp::init(&config, 99);
-        let cfg = sampled_cfg();
-        let mk = || {
-            CandidateSampler::new(
-                cfg.tables,
-                cfg.k_bits,
-                config.hidden,
-                cfg.neg_samples,
-                cfg.seed,
-            )
-        };
-        let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
-
-        // f32 target.
-        let mut state = SampledState {
-            sampler: mk(),
-            w2_scratch: Matrix::zeros(0, 0),
-        };
-        state.rebuild_from_flat(&FlatVec::F32(target_model.to_flat()), &model);
-        let mut reference = mk();
-        reference.rebuild(target_model.w2());
-        for seed in [0u64, 42, 0xB00F] {
-            assert_eq!(
-                state.sampler.select(&labels, seed).to_vec(),
-                reference.select(&labels, seed),
-                "f32 target rebuild diverged at seed {seed}"
-            );
-        }
-
-        // bf16 target: widening is exact, so the tables must match a
-        // rebuild from the widened replica's dense W₂.
-        let mut bf16_target = FlatVec::empty(Precision::Bf16);
-        target_model.write_flat_buf(&mut bf16_target);
-        state.rebuild_from_flat(&bf16_target, &model);
-        let mut widened = model.clone();
-        widened.read_flat_buf(&bf16_target);
-        reference.rebuild(widened.w2());
-        for seed in [0u64, 42] {
-            assert_eq!(
-                state.sampler.select(&labels, seed).to_vec(),
-                reference.select(&labels, seed),
-                "bf16 target rebuild diverged at seed {seed}"
-            );
-        }
     }
 }

@@ -8,7 +8,9 @@
 //! merge no message allocates. Payloads are [`FlatVec`]s carrying the
 //! run's storage precision (f32 or bf16).
 
+use asgd_slide::LshIndex;
 use asgd_tensor::FlatVec;
+use std::sync::Arc;
 
 /// Scheduler → GPU manager commands. Each manager processes its queue in
 /// FIFO order, so a `GetModel` enqueued after a run of `Train`s acts as a
@@ -35,7 +37,13 @@ pub(crate) enum ToManager {
     },
     /// Replace the replica with the given flat parameters; the buffer is
     /// returned via [`FromManager::Redistributed`].
-    SetModel(FlatVec),
+    SetModel {
+        /// The synced model.
+        buf: FlatVec,
+        /// Sampled mode: the LSH index over `buf`'s `W₂`, built once by the
+        /// scheduler and shared by every manager (`None` on the dense path).
+        lsh: Option<Arc<LshIndex>>,
+    },
     /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`; the buffer
     /// is returned via [`FromManager::Redistributed`].
     Blend {
@@ -43,6 +51,9 @@ pub(crate) enum ToManager {
         target: FlatVec,
         /// Pull strength in `[0, 1]`.
         pull: f32,
+        /// Sampled mode: the LSH index over `target`'s `W₂` (the blended
+        /// replicas differ per manager; the target does not).
+        lsh: Option<Arc<LshIndex>>,
     },
     /// Sparse-merge alternative to `GetModel`: send the sorted set of rows
     /// dirtied since the last `SetModel` plus their delta payload (the

@@ -48,11 +48,13 @@ use asgd_model::workload::{
     sampled_epoch_kernels,
 };
 use asgd_model::{eval, Mlp, MlpConfig};
+use asgd_slide::{CandidateSampler, LshIndex, NeuronRows};
 use asgd_tensor::parallel::{par_copy, par_widen};
 use asgd_tensor::{FlatVec, Precision};
 use chaos::ChaosStats;
 use messages::{FromManager, ToManager};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 /// Redistribution copies shorter than this stay serial (same rationale as
 /// the collective's reduction threshold).
@@ -94,6 +96,19 @@ fn sparse_timing_or_dense(
     stats.sparse_bytes += s.timing.bytes_moved as u64;
     stats.dense_bytes += dense.bytes_moved as u64;
     s.timing
+}
+
+/// Hashes the `W₂` region of a flat model buffer (bf16 widens exactly) into
+/// a fresh LSH index — the one index a model sync shares with every
+/// manager. Reading the lent buffer itself covers both redistribution
+/// rules and both precisions: the index sees exactly the bits the replicas
+/// are about to hold (`SetModel`) or be pulled toward (`Blend`).
+fn index_over_flat(s: &SampledSoftmax, mconfig: &MlpConfig, flat: &FlatVec) -> LshIndex {
+    let (h, classes) = (mconfig.hidden, mconfig.num_classes);
+    let w2_off = mconfig.num_features * h + h;
+    let mut lsh = LshIndex::new(s.tables, s.k_bits, h, s.seed);
+    lsh.rebuild_rows(NeuronRows::region(flat, w2_off, h * classes), classes);
+    lsh
 }
 
 /// Sample seed of a batch: an FNV-1a fold of its sample ids mixed with the
@@ -511,6 +526,13 @@ impl Trainer {
                 mconfig.num_classes,
             ),
             sparse_stats: SparseMergeStats::default(),
+            // Sampled mode hashes the init model once; every manager starts
+            // from this index.
+            lsh: cfg.sampled_softmax.map(|s| {
+                let mut lsh = LshIndex::new(s.tables, s.k_bits, mconfig.hidden, s.seed);
+                lsh.rebuild(init_model.w2());
+                Arc::new(lsh)
+            }),
         };
         if state.delta_arena.is_some() {
             // Sparse mode parks each manager's last-synced base in its arena
@@ -533,8 +555,11 @@ impl Trainer {
                 let (tx, rx) = channel();
                 let replica = init_model.clone();
                 let ftx = from_tx.clone();
-                let sampled = cfg.sampled_softmax;
-                s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampled));
+                let sampler = cfg
+                    .sampled_softmax
+                    .zip(state.lsh.clone())
+                    .map(|(s, lsh)| CandidateSampler::with_index(lsh, s.neg_samples));
+                s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampler));
                 to_managers.push(tx);
             }
             drop(from_tx);
@@ -612,6 +637,9 @@ struct SchedulerState<'a> {
     sparse_layout: SparseLayout,
     /// Sparse-merge accounting (untouched unless `delta_arena` is set).
     sparse_stats: SparseMergeStats,
+    /// Sampled mode: the LSH index over the last synced model, shared with
+    /// every alive manager. Rebuilt once per sync, never by a manager.
+    lsh: Option<Arc<LshIndex>>,
 }
 
 impl SchedulerState<'_> {
@@ -939,8 +967,10 @@ impl SchedulerState<'_> {
     }
 
     /// Charges the per-sync LSH rebuild (sampled mode only) to every
-    /// surviving device: each manager re-hashes all output neurons after a
-    /// model sync (startup, redistribute, blend).
+    /// surviving device: in the simulated system each device re-hashes all
+    /// output neurons after a model sync (startup, redistribute, blend).
+    /// The host hashes once per sync and shares the index, but every
+    /// simulated device still pays for its own rebuild.
     fn charge_lsh_rebuild(&mut self) {
         let Some(s) = self.cfg.sampled_softmax else {
             return;
@@ -1138,9 +1168,13 @@ impl SchedulerState<'_> {
             MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
                 apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
                 redistribute_global(&self.global, &mut bufs);
+                self.sync_index(&bufs[0]);
                 for (&g, buf) in alive_idx.iter().zip(bufs) {
                     to[g]
-                        .send(ToManager::SetModel(buf))
+                        .send(ToManager::SetModel {
+                            buf,
+                            lsh: self.lsh.clone(),
+                        })
                         .expect("manager channel closed");
                 }
             }
@@ -1148,11 +1182,13 @@ impl SchedulerState<'_> {
                 // The merged model becomes the new global; the blend targets
                 // ship with zero copies.
                 copy_to_global(&bufs[0], &mut self.global);
+                self.sync_index(&bufs[0]);
                 for (&g, buf) in alive_idx.iter().zip(bufs) {
                     to[g]
                         .send(ToManager::Blend {
                             target: buf,
                             pull: pull as f32,
+                            lsh: self.lsh.clone(),
                         })
                         .expect("manager channel closed");
                 }
@@ -1174,6 +1210,14 @@ impl SchedulerState<'_> {
                     unreachable!("non-Redistributed reply during redistribution")
                 }
             }
+        }
+        // One sync, one index: the scheduler and every survivor hold it.
+        if let Some(lsh) = &self.lsh {
+            assert_eq!(
+                Arc::strong_count(lsh),
+                k + 1,
+                "every alive manager must share the sync's one index"
+            );
         }
 
         for &g in &alive_idx {
@@ -1207,6 +1251,14 @@ impl SchedulerState<'_> {
         MergeDecision {
             weights,
             ..decision
+        }
+    }
+
+    /// Sampled mode: replaces the shared index with one hashed from the
+    /// buffer about to be lent for redistribution (see [`index_over_flat`]).
+    fn sync_index(&mut self, lent: &FlatVec) {
+        if let Some(s) = &self.cfg.sampled_softmax {
+            self.lsh = Some(Arc::new(index_over_flat(s, &self.mconfig, lent)));
         }
     }
 
@@ -1779,6 +1831,50 @@ mod tests {
         let crossbow =
             Trainer::new(algorithms::crossbow_sma(), heterogeneous_server(2), cfg).run(&ds);
         assert!(crossbow.sparse_merge.is_none());
+    }
+
+    /// The per-sync index hashes the `W₂` region of the lent buffer: over a
+    /// flat f32 model it selects exactly like a rebuild from that model's
+    /// dense `W₂`, and over a bf16 buffer exactly like a rebuild from the
+    /// (exactly) widened replica's `W₂` — the one rule behind both the
+    /// `SetModel` payload and the CROSSBOW blend target.
+    #[test]
+    fn sync_index_reads_the_lent_w2_region() {
+        let ds = dataset();
+        let config = MlpConfig {
+            num_features: ds.num_features,
+            hidden: 8,
+            num_classes: ds.num_labels,
+        };
+        let target = Mlp::init(&config, 99);
+        let s = SampledSoftmax {
+            tables: 4,
+            k_bits: 5,
+            neg_samples: 8,
+            seed: 7,
+        };
+        let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
+        let check = |flat: &FlatVec, dense: &Mlp| {
+            let lsh = Arc::new(index_over_flat(&s, &config, flat));
+            let mut synced = CandidateSampler::with_index(lsh, s.neg_samples);
+            let mut reference =
+                CandidateSampler::new(s.tables, s.k_bits, config.hidden, s.neg_samples, s.seed);
+            reference.rebuild(dense.w2());
+            for seed in [0u64, 42, 0xB00F] {
+                assert_eq!(
+                    synced.select(&labels, seed),
+                    reference.select(&labels, seed),
+                    "{:?} index diverged at seed {seed}",
+                    flat.precision()
+                );
+            }
+        };
+        check(&FlatVec::F32(target.to_flat()), &target);
+        let mut bf16 = FlatVec::empty(Precision::Bf16);
+        target.write_flat_buf(&mut bf16);
+        let mut widened = target.clone();
+        widened.read_flat_buf(&bf16);
+        check(&bf16, &widened);
     }
 
     #[test]

@@ -20,5 +20,5 @@
 pub mod lsh;
 pub mod sampler;
 
-pub use lsh::LshIndex;
+pub use lsh::{LshIndex, NeuronRows};
 pub use sampler::CandidateSampler;

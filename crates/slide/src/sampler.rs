@@ -5,10 +5,15 @@
 //! gradient flows) plus a fixed number of **negatives** drawn from the LSH
 //! buckets the positives collide with — the "classes the model currently
 //! confuses with the truth", which is exactly where sampled softmax needs
-//! its negative signal — padded from a seeded uniform draw over the class
-//! space when the buckets run dry. The result is sorted ascending
-//! (order-canonical) and fixed-size, so downstream kernels see a stable
-//! shape.
+//! its negative signal. When the bucket pool holds fewer classes than the
+//! quota, the rest are seeded uniform draws over the class space that skip
+//! collisions. The result is sorted ascending (order-canonical) and
+//! fixed-size, so downstream kernels see a stable shape.
+//!
+//! The pool is built in a `classes`-bit scratch: every bucket of every
+//! positive is marked, the positives are cleared, and the set bits are read
+//! out in ascending order — the sorted, de-duplicated union, without
+//! materializing or sorting the (often millions of) bucket entries.
 //!
 //! # Determinism contract
 //!
@@ -19,9 +24,11 @@
 //!   so any activation-dependent choice would make candidates depend on
 //!   *which* device trains the batch. Bucket membership is looked up through
 //!   the per-class signatures stored by [`LshIndex::rebuild`].
-//! * Rebuilds must happen only at model-sync points (manager start,
-//!   redistribute, blend target) from bytes that are identical on every
-//!   replica — then every manager holds bit-identical tables, and a batch
+//! * The index is rebuilt only at model-sync points (training start, and
+//!   every merge's `SetModel` payload or blend target), from bytes that are
+//!   identical on every replica. The trainer hashes those bytes once per
+//!   sync and shares the one index (an `Arc<LshIndex>`, see
+//!   [`CandidateSampler::adopt`]) with every manager, so a batch
 //!   re-dispatched after a device loss reproduces its candidate set exactly.
 //! * All randomness comes from the caller-supplied `sample_seed` through a
 //!   local [SplitMix64](splitmix64) stream — nothing is drawn from shared
@@ -29,6 +36,7 @@
 
 use crate::lsh::LshIndex;
 use asgd_tensor::Matrix;
+use std::sync::Arc;
 
 /// One step of the SplitMix64 stream — the sampler's only RNG. Small, fast,
 /// and stateless across batches: every batch reseeds from its own
@@ -44,11 +52,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Selects the per-batch candidate label set for sampled-softmax training.
 ///
-/// Owns the [`LshIndex`] plus reusable scratch, so steady-state selection
-/// allocates nothing once the buffers have grown to the working size.
+/// Holds a shared [`LshIndex`] plus reusable scratch, so steady-state
+/// selection allocates nothing once the buffers have grown to the working
+/// size.
 #[derive(Debug, Clone)]
 pub struct CandidateSampler {
-    lsh: LshIndex,
+    lsh: Arc<LshIndex>,
     /// Negatives per batch (the candidate set is `positives + neg_samples`,
     /// clamped to the class count).
     neg_samples: usize,
@@ -56,6 +65,8 @@ pub struct CandidateSampler {
     cand: Vec<u32>,
     /// Scratch: the bucket-union negative pool.
     pool: Vec<u32>,
+    /// Scratch: `classes`-bit set of the bucket neighbours.
+    marks: Vec<u64>,
 }
 
 impl CandidateSampler {
@@ -63,19 +74,35 @@ impl CandidateSampler {
     /// `hidden`-dimensional output neurons and `neg_samples` negatives per
     /// batch. Call [`rebuild`](Self::rebuild) before the first selection.
     pub fn new(tables: usize, k_bits: usize, hidden: usize, neg_samples: usize, seed: u64) -> Self {
+        Self::with_index(
+            Arc::new(LshIndex::new(tables, k_bits, hidden, seed)),
+            neg_samples,
+        )
+    }
+
+    /// Builds a sampler over a shared, already built index.
+    pub fn with_index(lsh: Arc<LshIndex>, neg_samples: usize) -> Self {
         CandidateSampler {
-            lsh: LshIndex::new(tables, k_bits, hidden, seed),
+            lsh,
             neg_samples,
             cand: Vec::new(),
             pool: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
     /// Re-hashes every output neuron from `w2` (`hidden × classes`). Only
     /// call this at model-sync points with bytes identical across replicas —
-    /// see the module docs.
+    /// see the module docs. An index shared with other samplers is copied
+    /// first, never changed under them.
     pub fn rebuild(&mut self, w2: &Matrix) {
-        self.lsh.rebuild(w2);
+        Arc::make_mut(&mut self.lsh).rebuild(w2);
+    }
+
+    /// Switches to a shared index (dropping this sampler's hold on the old
+    /// one) — how a manager takes up the index built once per model sync.
+    pub fn adopt(&mut self, lsh: Arc<LshIndex>) {
+        self.lsh = lsh;
     }
 
     /// Classes currently indexed (0 before the first rebuild).
@@ -111,17 +138,30 @@ impl CandidateSampler {
         let want = self.neg_samples.min(classes - n_pos);
 
         // Negative pool: every neuron sharing an LSH bucket with a positive,
-        // minus the positives themselves. Sorted + deduped, so the pool
-        // order is canonical before any random draw touches it.
+        // minus the positives themselves, read out of the bit set in
+        // ascending order — canonical before any random draw touches it.
         self.pool.clear();
         if want > 0 {
-            for i in 0..n_pos {
-                self.lsh.extend_with_neighbors(self.cand[i], &mut self.pool);
+            let marks = &mut self.marks;
+            marks.clear();
+            marks.resize(classes.div_ceil(64), 0);
+            for &c in &self.cand {
+                self.lsh.visit_buckets(c, |bucket| {
+                    for &j in bucket {
+                        marks[j as usize / 64] |= 1 << (j % 64);
+                    }
+                });
             }
-            self.pool.sort_unstable();
-            self.pool.dedup();
-            let cand = &self.cand;
-            self.pool.retain(|c| cand.binary_search(c).is_err());
+            for &c in &self.cand {
+                marks[c as usize / 64] &= !(1 << (c % 64));
+            }
+            for (w, &word) in marks.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    self.pool.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
         }
 
         let mut rng = sample_seed;
@@ -249,11 +289,139 @@ mod tests {
         let mut s = sampler(500, 64);
         let labels: Vec<&[u32]> = vec![&[3, 8], &[200, 301]];
         let _ = s.select(&labels, 1);
-        let (cap_c, cap_p) = (s.cand.capacity(), s.pool.capacity());
+        let caps =
+            |s: &CandidateSampler| (s.cand.capacity(), s.pool.capacity(), s.marks.capacity());
+        let first = caps(&s);
+        let ptr = s.marks.as_ptr();
         for seed in 2..20 {
             let _ = s.select(&labels, seed);
         }
-        assert_eq!(s.cand.capacity(), cap_c);
-        assert_eq!(s.pool.capacity(), cap_p);
+        assert_eq!(caps(&s), first);
+        assert_eq!(s.marks.as_ptr(), ptr, "bit-set scratch was reallocated");
+    }
+
+    /// The selection as it was before the bit-set pool: the bucket union
+    /// materialized, sorted, de-duplicated and stripped of the positives,
+    /// then the same seeded draw and padding.
+    fn reference_select(
+        lsh: &LshIndex,
+        neg_samples: usize,
+        labels: &[&[u32]],
+        seed: u64,
+    ) -> Vec<u32> {
+        let classes = lsh.len();
+        let mut cand: Vec<u32> = labels.iter().flat_map(|r| r.iter().copied()).collect();
+        cand.sort_unstable();
+        cand.dedup();
+        let n_pos = cand.len();
+        let want = neg_samples.min(classes - n_pos);
+        let mut pool = Vec::new();
+        if want > 0 {
+            for &c in &cand {
+                lsh.visit_buckets(c, |b| pool.extend_from_slice(b));
+            }
+            pool.sort_unstable();
+            pool.dedup();
+            pool.retain(|c| cand.binary_search(c).is_err());
+        }
+        let mut rng = seed;
+        if pool.len() > want {
+            for i in 0..want {
+                let j = i + (splitmix64(&mut rng) % (pool.len() - i) as u64) as usize;
+                pool.swap(i, j);
+            }
+            pool.truncate(want);
+        }
+        for &c in &pool {
+            if let Err(pos) = cand.binary_search(&c) {
+                cand.insert(pos, c);
+            }
+        }
+        while cand.len() < n_pos + want {
+            let c = (splitmix64(&mut rng) % classes as u64) as u32;
+            if let Err(pos) = cand.binary_search(&c) {
+                cand.insert(pos, c);
+            }
+        }
+        cand
+    }
+
+    /// Deterministic test values in `[-1, 1)` with exact zeros mixed in, so
+    /// projections that land on ±0 exercise the sign rule too.
+    fn values(n: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                let r = splitmix64(&mut state);
+                if r.is_multiple_of(11) {
+                    0.0
+                } else {
+                    (r >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::lsh::NeuronRows;
+        use asgd_tensor::bf16::{narrow, widen};
+        use asgd_tensor::parallel::override_threads;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The blocked rebuild and the bit-set pool against their
+            /// references: identical signatures, buckets and candidate sets
+            /// for f32 and bf16 sources, at 1 and 8 worker threads.
+            #[test]
+            fn blocked_rebuild_and_bitset_pool_match_the_references(
+                dim_idx in 0usize..6,
+                classes in 1usize..=600,
+                k in 1usize..=32,
+                tables in 1usize..=8,
+                bf16_sel in 0usize..2,
+                seed in 0u64..u64::MAX,
+                neg in 0usize..=80,
+            ) {
+                let dim = [1usize, 7, 8, 9, 128, 130][dim_idx];
+                let bf16 = bf16_sel == 1;
+                let raw = values(dim * classes, seed);
+                let bits: Vec<u16> = raw.iter().map(|&v| narrow(v)).collect();
+                let (src, w2) = if bf16 {
+                    (
+                        NeuronRows::Bf16(&bits),
+                        Matrix::from_fn(dim, classes, |i, j| widen(bits[i * classes + j])),
+                    )
+                } else {
+                    (
+                        NeuronRows::F32(&raw),
+                        Matrix::from_fn(dim, classes, |i, j| raw[i * classes + j]),
+                    )
+                };
+                let mut state = seed ^ 0xC0FFEE;
+                let rows: Vec<Vec<u32>> = (0..4)
+                    .map(|_| {
+                        (0..splitmix64(&mut state) % 6)
+                            .map(|_| (splitmix64(&mut state) % classes as u64) as u32)
+                            .collect()
+                    })
+                    .collect();
+                let labels: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+                for threads in [1, 8] {
+                    override_threads(threads);
+                    let mut idx = LshIndex::new(tables, k, dim, seed);
+                    idx.rebuild_rows(src, classes);
+                    override_threads(0);
+                    idx.assert_matches_reference(&w2);
+                    let mut s = CandidateSampler::with_index(Arc::new(idx), neg);
+                    for sample_seed in [seed, seed.wrapping_add(1)] {
+                        let want = reference_select(&s.lsh, neg, &labels, sample_seed);
+                        prop_assert_eq!(s.select(&labels, sample_seed), &want[..]);
+                    }
+                }
+            }
+        }
     }
 }

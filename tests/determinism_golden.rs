@@ -13,12 +13,13 @@
 use adaptive_sgd::collective::InterNode;
 use adaptive_sgd::core::{
     algorithms,
-    trainer::{RunConfig, Trainer},
+    trainer::{RunConfig, SampledSoftmax, Trainer, TrainerSpec},
     ClusterConfig,
 };
 use adaptive_sgd::data::{generate, DatasetSpec};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
 use adaptive_sgd::stats::fnv1a;
+use adaptive_sgd::tensor::Precision;
 
 fn golden_run() -> adaptive_sgd::core::metrics::RunResult {
     let ds = generate(&DatasetSpec::tiny("golden"), 5);
@@ -116,4 +117,100 @@ fn golden_run_is_stable_within_a_process() {
     let b = golden_run();
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.final_model, b.final_model);
+}
+
+/// One cell of the sampled-softmax matrix: LSH-sampled training under a
+/// merge rule (Algorithm 2's `SetModel` redistribution, or CROSSBOW's
+/// per-round `Blend`) at a storage precision. 300 classes over 20 hidden
+/// units put several hash tiles (with a partial last one) and a lane tail
+/// on every index build. Small batches over 2 × 6-bit tables keep the
+/// bucket pool well short of the class count, so the negatives depend on
+/// which bytes each sync hashed (a stale or wrongly rounded index changes
+/// the checksums).
+fn sampled_cell_run(
+    spec: TrainerSpec,
+    precision: Precision,
+) -> adaptive_sgd::core::metrics::RunResult {
+    let mut ds_spec = DatasetSpec::tiny("golden-sampled");
+    ds_spec.num_labels = 300;
+    let ds = generate(&ds_spec, 5);
+    let mut cfg = RunConfig::paper_defaults(8, 12);
+    cfg.hidden = 20;
+    cfg.base_lr = 0.2;
+    cfg.seed = 42;
+    cfg.mega_batch_limit = Some(3);
+    cfg.overhead_scale = 0.001;
+    cfg.precision = precision;
+    cfg.sampled_softmax = Some(SampledSoftmax {
+        tables: 2,
+        k_bits: 6,
+        neg_samples: 16,
+        seed: 0x51DE_CA5E,
+    });
+    Trainer::new(spec, heterogeneous_server(3), cfg).run(&ds)
+}
+
+/// `(name, trainer, storage precision, final-model FNV)`.
+type SampledCell = (&'static str, fn() -> TrainerSpec, Precision, u64);
+
+/// Sampled softmax × {Algorithm 2, CROSSBOW} × {f32, bf16}. Where and how
+/// often the LSH index is hashed is a wall-clock choice, never an
+/// arithmetic one, so these checksums must not move when it changes.
+const SAMPLED_CELLS: [SampledCell; 4] = [
+    (
+        "adaptive/f32",
+        algorithms::adaptive_sgd,
+        Precision::F32,
+        0x82bb_240b_844d_d0cf,
+    ),
+    (
+        "adaptive/bf16",
+        algorithms::adaptive_sgd,
+        Precision::Bf16,
+        0xa6d7_b27e_eb62_8676,
+    ),
+    (
+        "crossbow/f32",
+        algorithms::crossbow_sma,
+        Precision::F32,
+        0x4370_d193_3c16_3e53,
+    ),
+    (
+        "crossbow/bf16",
+        algorithms::crossbow_sma,
+        Precision::Bf16,
+        0xd014_f7db_56fe_5eca,
+    ),
+];
+
+#[test]
+fn sampled_matrix_matches_checked_in_checksums() {
+    let mut diverged = Vec::new();
+    for (name, spec, precision, want) in SAMPLED_CELLS {
+        let result = sampled_cell_run(spec(), precision);
+        let got = fnv1a(result.final_model.iter().flat_map(|w| w.to_le_bytes()));
+        if got != want {
+            diverged.push(format!("{name}: got {got:#018x}, want {want:#018x}"));
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "sampled golden checksums diverged:\n  {}",
+        diverged.join("\n  ")
+    );
+}
+
+#[test]
+fn sampled_matrix_is_thread_invariant() {
+    for (name, spec, precision, _) in SAMPLED_CELLS {
+        adaptive_sgd::tensor::parallel::override_threads(1);
+        let a = sampled_cell_run(spec(), precision);
+        adaptive_sgd::tensor::parallel::override_threads(8);
+        let b = sampled_cell_run(spec(), precision);
+        adaptive_sgd::tensor::parallel::override_threads(0);
+        assert_eq!(
+            a.final_model, b.final_model,
+            "{name}: model bits depend on thread count"
+        );
+    }
 }
